@@ -18,6 +18,7 @@
 # Usage: scripts/rank_smoke.sh [path-to-bcclb]
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/smoke_lib.sh
 
 BCCLB="${1:-./build/tools/bcclb}"
 [ -x "$BCCLB" ] || { echo "error: $BCCLB not built" >&2; exit 2; }
@@ -47,26 +48,10 @@ BCCLB_MEM_BUDGET=2M rank_cmd "$WORK/budget" >/dev/null 2>&1
 cmp "$WORK/ref/rank.txt" "$WORK/budget/rank.txt"
 
 echo "== victim run (SIGKILL after first tile checkpoint)"
-# Background the binary directly (not the rank_cmd function): $! must be the
-# bcclb PID itself or the signals land on an intermediate subshell.
-BCCLB_RANK_TILE_DELAY_MS=300 "$BCCLB" rank --n "$N" --field modp \
-  --tile-rows "$TILE_ROWS" --dir "$WORK/victim" >"$WORK/victim.log" 2>&1 &
-victim_pid=$!
-for _ in $(seq 1 100); do
-  [ -f "$WORK/victim/rank-checkpoint.bcclb" ] && break
-  sleep 0.1
-done
-[ -f "$WORK/victim/rank-checkpoint.bcclb" ] || {
-  echo "FAIL: no rank checkpoint appeared before timeout" >&2
-  kill -9 "$victim_pid" 2>/dev/null || true
-  exit 1
-}
-kill -9 "$victim_pid"
-wait "$victim_pid" 2>/dev/null || true
-
-if [ -f "$WORK/victim/rank.txt" ]; then
-  echo "note: victim finished before SIGKILL landed; resume degenerates to a no-op check"
-fi
+kill_after_checkpoint "$WORK/victim/rank-checkpoint.bcclb" "$WORK/victim/rank.txt" \
+  "$WORK/victim.log" "rank checkpoint" \
+  env BCCLB_RANK_TILE_DELAY_MS=300 "$BCCLB" rank --n "$N" --field modp \
+  --tile-rows "$TILE_ROWS" --dir "$WORK/victim"
 
 echo "== resume run"
 rank_cmd "$WORK/victim" --resume >"$WORK/resume.log" 2>&1
@@ -77,20 +62,10 @@ cmp "$WORK/ref/rank.txt" "$WORK/victim/rank.txt"
 echo "PASS: kill -9 + --resume certificate is bit-identical"
 
 echo "== SIGINT run (graceful interrupt, exit 130)"
-BCCLB_RANK_TILE_DELAY_MS=300 "$BCCLB" rank --n "$N" --field modp \
-  --tile-rows "$TILE_ROWS" --dir "$WORK/sigint" >"$WORK/sigint.log" 2>&1 &
-sigint_pid=$!
-for _ in $(seq 1 100); do
-  [ -f "$WORK/sigint/rank-checkpoint.bcclb" ] && break
-  sleep 0.1
-done
-kill -INT "$sigint_pid"
-rc=0
-wait "$sigint_pid" || rc=$?
-if [ -f "$WORK/sigint/rank.txt" ]; then
-  echo "note: SIGINT run finished before the signal landed (rc=$rc)"
-else
-  [ "$rc" -eq 130 ] || { echo "FAIL: interrupted CLI exited $rc, expected 130" >&2; exit 1; }
+if interrupt_after_checkpoint "$WORK/sigint/rank-checkpoint.bcclb" "$WORK/sigint/rank.txt" \
+  "$WORK/sigint.log" run \
+  env BCCLB_RANK_TILE_DELAY_MS=300 "$BCCLB" rank --n "$N" --field modp \
+  --tile-rows "$TILE_ROWS" --dir "$WORK/sigint"; then
   rank_cmd "$WORK/sigint" --resume >/dev/null 2>&1
   cmp "$WORK/ref/rank.txt" "$WORK/sigint/rank.txt"
   echo "PASS: SIGINT flushed a resumable checkpoint and exited 130"

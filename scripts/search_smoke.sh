@@ -22,6 +22,7 @@
 # Usage: scripts/search_smoke.sh [path-to-bcclb]
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/smoke_lib.sh
 
 BCCLB="${1:-./build/tools/bcclb}"
 [ -x "$BCCLB" ] || { echo "error: $BCCLB not built" >&2; exit 2; }
@@ -53,26 +54,9 @@ BCCLB_THREADS=8 "$BCCLB" search "$WORK/threads" >/dev/null
 cmp_campaign "$WORK/ref" "$WORK/threads"
 
 echo "== victim run (SIGKILL after first checkpoint)"
-# Background the binary directly: $! must be the bcclb PID itself or the
-# signals land on an intermediate subshell.
-BCCLB_CAMPAIGN_BATCH_DELAY_MS=400 "$BCCLB" search "$WORK/victim" \
-  >"$WORK/victim.log" 2>&1 &
-victim_pid=$!
-for _ in $(seq 1 100); do
-  [ -f "$WORK/victim/checkpoint.bcclb" ] && break
-  sleep 0.1
-done
-[ -f "$WORK/victim/checkpoint.bcclb" ] || {
-  echo "FAIL: no checkpoint appeared before timeout" >&2
-  kill -9 "$victim_pid" 2>/dev/null || true
-  exit 1
-}
-kill -9 "$victim_pid"
-wait "$victim_pid" 2>/dev/null || true
-
-if [ -f "$WORK/victim/campaign.txt" ]; then
-  echo "note: victim finished before SIGKILL landed; resume degenerates to a no-op check"
-fi
+kill_after_checkpoint "$WORK/victim/checkpoint.bcclb" "$WORK/victim/campaign.txt" \
+  "$WORK/victim.log" checkpoint \
+  env BCCLB_CAMPAIGN_BATCH_DELAY_MS=400 "$BCCLB" search "$WORK/victim"
 
 echo "== resume run"
 "$BCCLB" search --resume "$WORK/victim" >/dev/null
@@ -80,20 +64,9 @@ cmp_campaign "$WORK/ref" "$WORK/victim"
 echo "PASS: kill -9 + --resume is bit-identical to an uninterrupted run"
 
 echo "== SIGINT run (graceful interrupt, exit 130)"
-BCCLB_CAMPAIGN_BATCH_DELAY_MS=400 "$BCCLB" search "$WORK/sigint" \
-  >"$WORK/sigint.log" 2>&1 &
-sigint_pid=$!
-for _ in $(seq 1 100); do
-  [ -f "$WORK/sigint/checkpoint.bcclb" ] && break
-  sleep 0.1
-done
-kill -INT "$sigint_pid"
-rc=0
-wait "$sigint_pid" || rc=$?
-if [ -f "$WORK/sigint/campaign.txt" ]; then
-  echo "note: SIGINT search finished before the signal landed (rc=$rc)"
-else
-  [ "$rc" -eq 130 ] || { echo "FAIL: interrupted CLI exited $rc, expected 130" >&2; exit 1; }
+if interrupt_after_checkpoint "$WORK/sigint/checkpoint.bcclb" "$WORK/sigint/campaign.txt" \
+  "$WORK/sigint.log" search \
+  env BCCLB_CAMPAIGN_BATCH_DELAY_MS=400 "$BCCLB" search "$WORK/sigint"; then
   grep -q "resume with: bcclb search --resume" "$WORK/sigint.log" || {
     echo "FAIL: interrupted CLI did not print the resume hint" >&2
     cat "$WORK/sigint.log" >&2

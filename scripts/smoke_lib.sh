@@ -1,5 +1,6 @@
 # Shared helpers for the smoke-test scripts (serve_smoke.sh, chaos_smoke.sh,
-# cluster_smoke.sh). Source this file; do not execute it. Everything here
+# cluster_smoke.sh, and the kill-and-resume legs of test_kill_resume.sh,
+# rank_smoke.sh and search_smoke.sh). Source this file; do not execute it. Everything here
 # must run in the sourcing shell: wait(1) only knows that shell's children,
 # so wrapping these in a subshell would break exit-code capture.
 
@@ -55,4 +56,60 @@ if not eval(sys.argv[2], {}, {"s": s}):
     print(f"FAIL: assertion '{sys.argv[2]}' over serve section: {s}", file=sys.stderr)
     sys.exit(1)
 PY
+}
+
+# Polls up to 10 s for a checkpoint file to appear.
+#   wait_for_checkpoint <path>
+wait_for_checkpoint() {
+  local i
+  for i in $(seq 1 100); do
+    [ -f "$1" ] && return 0
+    sleep 0.1
+  done
+  return 1
+}
+
+# The SIGKILL leg of a kill-and-resume test: runs <cmd…> in the background
+# with output to <log>, waits for <checkpoint> to appear, then kill -9s it.
+# Exits the script with "FAIL: no <what> appeared before timeout" if the
+# checkpoint never shows up. A run that wrote <final> before the kill landed
+# is noted, not failed: the caller's resume then checks a finished directory.
+# Pass env overrides through env(1) so $! is the binary itself.
+#   kill_after_checkpoint <checkpoint> <final> <log> <what> <cmd…>
+kill_after_checkpoint() {
+  local checkpoint="$1" final="$2" log="$3" what="$4" pid
+  shift 4
+  "$@" >"$log" 2>&1 &
+  pid=$!
+  wait_for_checkpoint "$checkpoint" || {
+    echo "FAIL: no $what appeared before timeout" >&2
+    kill -9 "$pid" 2>/dev/null || true
+    exit 1
+  }
+  kill -9 "$pid"
+  wait "$pid" 2>/dev/null || true
+  if [ -f "$final" ]; then
+    echo "note: victim finished before SIGKILL landed; resume degenerates to a no-op check"
+  fi
+}
+
+# The SIGINT leg: runs <cmd…> in the background with output to <log>, waits
+# for <checkpoint>, sends SIGINT and requires exit code 130. Returns 0 when
+# the run was interrupted (the caller then resumes and compares), or 1 with
+# a note when the <what> wrote <final> before the signal landed. A wrong
+# exit code exits the script with a FAIL.
+#   interrupt_after_checkpoint <checkpoint> <final> <log> <what> <cmd…>
+interrupt_after_checkpoint() {
+  local checkpoint="$1" final="$2" log="$3" what="$4" pid rc=0
+  shift 4
+  "$@" >"$log" 2>&1 &
+  pid=$!
+  wait_for_checkpoint "$checkpoint" || true
+  kill -INT "$pid"
+  wait "$pid" || rc=$?
+  if [ -f "$final" ]; then
+    echo "note: SIGINT $what finished before the signal landed (rc=$rc)"
+    return 1
+  fi
+  [ "$rc" -eq 130 ] || { echo "FAIL: interrupted CLI exited $rc, expected 130" >&2; exit 1; }
 }

@@ -15,6 +15,7 @@
 # Usage: scripts/test_kill_resume.sh [path-to-bcclb]
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/smoke_lib.sh
 
 BCCLB="${1:-./build/tools/bcclb}"
 [ -x "$BCCLB" ] || { echo "error: $BCCLB not built" >&2; exit 2; }
@@ -26,25 +27,9 @@ echo "== reference run"
 "$BCCLB" campaign "$WORK/ref" >/dev/null
 
 echo "== victim run (SIGKILL after first checkpoint)"
-BCCLB_CAMPAIGN_BATCH_DELAY_MS=400 "$BCCLB" campaign "$WORK/victim" \
-  >"$WORK/victim.log" 2>&1 &
-victim_pid=$!
-# Wait for the first checkpoint flush, then kill -9 mid-campaign.
-for _ in $(seq 1 100); do
-  [ -f "$WORK/victim/checkpoint.bcclb" ] && break
-  sleep 0.1
-done
-[ -f "$WORK/victim/checkpoint.bcclb" ] || {
-  echo "FAIL: no checkpoint appeared before timeout" >&2
-  kill -9 "$victim_pid" 2>/dev/null || true
-  exit 1
-}
-kill -9 "$victim_pid"
-wait "$victim_pid" 2>/dev/null || true
-
-if [ -f "$WORK/victim/campaign.txt" ]; then
-  echo "note: victim finished before SIGKILL landed; resume degenerates to a no-op check"
-fi
+kill_after_checkpoint "$WORK/victim/checkpoint.bcclb" "$WORK/victim/campaign.txt" \
+  "$WORK/victim.log" checkpoint \
+  env BCCLB_CAMPAIGN_BATCH_DELAY_MS=400 "$BCCLB" campaign "$WORK/victim"
 
 echo "== resume run"
 "$BCCLB" campaign --resume "$WORK/victim" >/dev/null
@@ -55,20 +40,9 @@ cmp "$WORK/ref/golden.json" "$WORK/victim/golden.json"
 echo "PASS: kill -9 + resume is bit-identical to an uninterrupted run"
 
 echo "== SIGINT run (graceful interrupt, exit 130)"
-BCCLB_CAMPAIGN_BATCH_DELAY_MS=400 "$BCCLB" campaign "$WORK/sigint" \
-  >"$WORK/sigint.log" 2>&1 &
-sigint_pid=$!
-for _ in $(seq 1 100); do
-  [ -f "$WORK/sigint/checkpoint.bcclb" ] && break
-  sleep 0.1
-done
-kill -INT "$sigint_pid"
-rc=0
-wait "$sigint_pid" || rc=$?
-if [ -f "$WORK/sigint/campaign.txt" ]; then
-  echo "note: SIGINT campaign finished before the signal landed (rc=$rc)"
-else
-  [ "$rc" -eq 130 ] || { echo "FAIL: interrupted CLI exited $rc, expected 130" >&2; exit 1; }
+if interrupt_after_checkpoint "$WORK/sigint/checkpoint.bcclb" "$WORK/sigint/campaign.txt" \
+  "$WORK/sigint.log" campaign \
+  env BCCLB_CAMPAIGN_BATCH_DELAY_MS=400 "$BCCLB" campaign "$WORK/sigint"; then
   [ -f "$WORK/sigint/checkpoint.bcclb" ] || {
     echo "FAIL: interrupted campaign left no checkpoint" >&2; exit 1;
   }

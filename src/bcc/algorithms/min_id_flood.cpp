@@ -50,10 +50,10 @@ AlgorithmFactory min_id_flood_factory() {
   return [] { return std::make_unique<MinIdFloodAlgorithm>(); };
 }
 
-void SoaMinIdFlood::init(const InstanceView& view, unsigned bandwidth, bool exact,
-                         unsigned threads) {
+void SoaMinIdFlood::init(const InstanceView& view, unsigned bandwidth,
+                         const FaultInjector* faults, unsigned threads) {
   n_ = view.num_vertices();
-  exact_ = exact;
+  exact_ = faults != nullptr;
   threads_ = threads;
   rounds_done_ = 0;
   all_equal_ = false;

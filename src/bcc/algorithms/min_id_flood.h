@@ -50,11 +50,11 @@ AlgorithmFactory min_id_flood_factory();
 // min/max reduction, valid because each vertex's final-round broadcast
 // equals its own label. In exact mode (fault injection active) both
 // shortcuts are disabled and every round is the dense O(n)-broadcast /
-// per-vertex-scan computation, so rewritten wires behave exactly as in
-// RoundEngine.
+// per-vertex-scan computation, so rewritten wires behave exactly as they do
+// for MinIdFloodAlgorithm.
 class SoaMinIdFlood final : public SoaProgram {
  public:
-  void init(const InstanceView& view, unsigned bandwidth, bool exact,
+  void init(const InstanceView& view, unsigned bandwidth, const FaultInjector* faults,
             unsigned threads) override;
   void broadcast(unsigned round, SoaBroadcasts& out) override;
   void receive(unsigned round, const SoaBroadcasts& in) override;

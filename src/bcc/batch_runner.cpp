@@ -56,15 +56,21 @@ std::size_t BatchReport::first_failure() const {
   return jobs.size();
 }
 
-void BatchRunner::for_each_with_engine(
-    std::size_t count, const std::function<void(std::size_t, RoundEngine&)>& body) const {
+namespace {
+
+// The one worker pool: every worker owns one Engine, reused across the jobs
+// it claims from a shared counter. Exceptions are parked at their job's
+// index and the lowest failing index is rethrown after the pool drains —
+// what a serial loop would have thrown first.
+template <class Engine>
+void pooled_for_each(unsigned threads, std::size_t count,
+                     const std::function<void(std::size_t, Engine&)>& body) {
   if (count == 0) return;
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(threads_, count));
+  const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(threads, count));
 
   if (workers <= 1) {
     // Inline fast path: no pool, one engine, ascending order.
-    RoundEngine engine;
+    Engine engine;
     for (std::size_t i = 0; i < count; ++i) body(i, engine);
     return;
   }
@@ -74,7 +80,7 @@ void BatchRunner::for_each_with_engine(
   std::atomic<bool> failed{false};
 
   auto worker = [&] {
-    RoundEngine engine;
+    Engine engine;
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= count) return;
@@ -93,54 +99,24 @@ void BatchRunner::for_each_with_engine(
   for (std::thread& t : pool) t.join();
 
   if (failed.load(std::memory_order_relaxed)) {
-    // Deterministic error reporting: the lowest failing index wins, matching
-    // what a serial loop would have thrown first.
     for (std::size_t i = 0; i < count; ++i) {
       if (errors[i]) std::rethrow_exception(errors[i]);
     }
   }
 }
 
+struct NoEngine {};
+
+}  // namespace
+
+void BatchRunner::for_each_with_engine(
+    std::size_t count, const std::function<void(std::size_t, RoundEngine&)>& body) const {
+  pooled_for_each(threads_, count, body);
+}
+
 void BatchRunner::for_each_with_soa_engine(
     std::size_t count, const std::function<void(std::size_t, SoaRoundEngine&)>& body) const {
-  if (count == 0) return;
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(threads_, count));
-
-  if (workers <= 1) {
-    SoaRoundEngine engine;
-    for (std::size_t i = 0; i < count; ++i) body(i, engine);
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::vector<std::exception_ptr> errors(count);
-  std::atomic<bool> failed{false};
-
-  auto worker = [&] {
-    SoaRoundEngine engine;
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      try {
-        body(i, engine);
-      } catch (...) {
-        errors[i] = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-
-  if (failed.load(std::memory_order_relaxed)) {
-    for (std::size_t i = 0; i < count; ++i) {
-      if (errors[i]) std::rethrow_exception(errors[i]);
-    }
-  }
+  pooled_for_each(threads_, count, body);
 }
 
 std::vector<SoaRunResult> BatchRunner::run_implicit(const std::vector<SoaBatchJob>& jobs) const {
@@ -163,7 +139,7 @@ std::vector<SoaRunResult> BatchRunner::run_implicit(const std::vector<SoaBatchJo
 
 void BatchRunner::for_each(std::size_t count,
                            const std::function<void(std::size_t)>& body) const {
-  for_each_with_engine(count, [&body](std::size_t i, RoundEngine&) { body(i); });
+  pooled_for_each<NoEngine>(threads_, count, [&body](std::size_t i, NoEngine&) { body(i); });
 }
 
 std::uint64_t retry_backoff_ns(const BatchPolicy& policy, std::size_t job, unsigned retry) {

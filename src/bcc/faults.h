@@ -6,10 +6,10 @@
 // and corruption faults. A FaultPlan is a seeded, fully explicit schedule of
 // fault events — crash-stop a vertex from round r on, drop (silence) one
 // broadcast, XOR-flip message bits, or byzantine-replace a broadcast — that
-// the RoundEngine compiles into a per-run FaultInjector. Injection is a pure
-// function of (plan, round, vertex), so faulty runs stay replayable and
-// bit-identical across thread counts, and every applied event is recorded
-// alongside the transcript (RunResult::faults_applied).
+// the round loop (SoaRoundEngine) compiles into a per-run FaultInjector.
+// Injection is a pure function of (plan, round, vertex), so faulty runs stay
+// replayable and bit-identical across thread counts, and every applied event
+// is recorded alongside the transcript (RunResult::faults_applied).
 //
 // Transient plans model soft errors: the plan fires on attempt 0 only, so a
 // retry (BatchRunner's bounded-retry policy) re-executes fault-free.

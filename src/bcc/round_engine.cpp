@@ -1,52 +1,11 @@
 #include "bcc/round_engine.h"
 
-#include <algorithm>
-#include <optional>
-
-#include "common/bitset_reduce.h"
 #include "common/check.h"
-#include "common/errors.h"
 
 namespace bcclb {
 
-namespace {
-
-// Clears per-run state on scope exit so a mid-round throw (bandwidth
-// violation) cannot leave stale vertices or a stuck reentrancy flag behind;
-// the engine is immediately reusable after an exception.
-struct RunGuard {
-  bool* running;
-  std::vector<std::unique_ptr<VertexAlgorithm>>* vertices;
-  ~RunGuard() {
-    vertices->clear();
-    *running = false;
-  }
-};
-
-}  // namespace
-
 void RoundEngine::reserve(std::size_t n, unsigned expected_rounds) {
-  if (n == 0) return;
-  const std::size_t words = (n + 63) / 64;
-  out_values_.reserve(n);
-  out_widths_.reserve(n);
-  out_silent_.reserve(words);
-  done_words_.reserve(words);
-  inbox_.reserve(n - 1);
-  peer_flat_.reserve(n * (n - 1));
-  staged_values_.reserve(static_cast<std::size_t>(expected_rounds) * n);
-  staged_widths_.reserve(static_cast<std::size_t>(expected_rounds) * n);
-  staged_silent_.reserve(static_cast<std::size_t>(expected_rounds) * words);
-  vertices_.reserve(n);
-}
-
-std::size_t RoundEngine::buffer_bytes() const {
-  return out_values_.capacity() * sizeof(std::uint64_t) + out_widths_.capacity() +
-         (out_silent_.capacity() + done_words_.capacity()) * sizeof(std::uint64_t) +
-         inbox_.capacity() * sizeof(Message) + peer_flat_.capacity() * sizeof(std::uint32_t) +
-         staged_values_.capacity() * sizeof(std::uint64_t) + staged_widths_.capacity() +
-         staged_silent_.capacity() * sizeof(std::uint64_t) +
-         vertices_.capacity() * sizeof(std::unique_ptr<VertexAlgorithm>);
+  program_.reserve(n, expected_rounds);
 }
 
 RunResult RoundEngine::run(const BccInstance& instance, unsigned bandwidth,
@@ -60,33 +19,53 @@ RunResult RoundEngine::run(const BccInstance& instance, unsigned bandwidth,
 RunResult RoundEngine::run(const BccInstance& instance, unsigned bandwidth,
                            const AlgorithmFactory& factory, unsigned max_rounds,
                            const RunOptions& options) {
-  const auto start = std::chrono::steady_clock::now();
-  const std::size_t n = instance.num_vertices();
-  const CoinSpec& coins = options.coins;
-  BCCLB_REQUIRE(n >= 2, "need at least 2 vertices");
-  if (bandwidth < 1 || bandwidth > 64) {
-    throw BandwidthViolationError("bandwidth must be in [1, 64]");
-  }
-  BCCLB_REQUIRE(!running_, "RoundEngine::run is not reentrant");
-  running_ = true;
-  RunGuard guard{&running_, &vertices_};
+  BCCLB_REQUIRE(!running(), "RoundEngine::run is not reentrant");
+  program_.factory = &factory;
+  program_.coins = options.coins;
+  SoaRunOptions loop_options;
+  loop_options.faults = options.faults;
+  loop_options.attempt = options.attempt;
+  loop_options.deadline_ns = options.deadline_ns;
+  loop_options.require_all_finished = options.require_all_finished;
+  SoaRunResult run =
+      loop_.run(InstanceView(&instance), bandwidth, program_, max_rounds, loop_options);
 
-  const std::size_t ports = n - 1;
+  RunResult result;
+  result.rounds_executed = run.rounds_executed;
+  result.all_finished = run.all_finished;
+  result.decision = run.decision;
+  result.total_bits_broadcast = run.total_bits_broadcast;
+  result.stats = run.stats;
+  result.faults_applied = std::move(run.faults_applied);
+  result.crashed_vertices = std::move(run.crashed_vertices);
+  program_.collect(result);
+  return result;
+}
+
+void RoundEngine::VertexProgram::reserve(std::size_t n, unsigned expected_rounds) {
+  if (n == 0) return;
   const std::size_t words = (n + 63) / 64;
+  inbox_.reserve(n - 1);
+  peer_flat_.reserve(n * (n - 1));
+  staged_values_.reserve(static_cast<std::size_t>(expected_rounds) * n);
+  staged_widths_.reserve(static_cast<std::size_t>(expected_rounds) * n);
+  staged_silent_.reserve(static_cast<std::size_t>(expected_rounds) * words);
+  vertices_.reserve(n);
+}
 
-  // The fault hook. The digest is computed only when faults are in play (it
-  // walks the instance once); fault-free runs take none of these branches.
-  std::optional<FaultInjector> injector;
-  if (options.faults != nullptr && !options.faults->empty()) {
-    injector.emplace(*options.faults, n, bandwidth, instance.digest(), options.attempt);
-  }
+void RoundEngine::VertexProgram::init(const InstanceView& view, unsigned bandwidth,
+                                      const FaultInjector* faults, unsigned) {
+  const BccInstance& instance = *view.explicit_instance();
+  n_ = instance.num_vertices();
+  faults_ = faults;
+  rounds_done_ = 0;
 
-  // Per-run tables, into reused storage. The flat peer table turns the inner
-  // delivery loop into bounds-free index lookups (the Wiring accessor walks
-  // two nested vectors with range checks on every call).
+  // The flat peer table turns the inner delivery loop into bounds-free index
+  // lookups (the Wiring accessor walks two nested vectors with range checks
+  // on every call).
   peer_flat_.clear();
   const auto& tables = instance.wiring().tables();
-  for (VertexId v = 0; v < n; ++v) {
+  for (VertexId v = 0; v < n_; ++v) {
     peer_flat_.insert(peer_flat_.end(), tables[v].begin(), tables[v].end());
   }
 
@@ -94,118 +73,101 @@ RunResult RoundEngine::run(const BccInstance& instance, unsigned bandwidth,
   private_streams_.clear();
   if (coins.use_private) {
     BCCLB_REQUIRE(coins.private_bits >= 1, "need at least one coin");
-    private_streams_.reserve(n);
-    for (VertexId v = 0; v < n; ++v) {
+    private_streams_.reserve(n_);
+    for (VertexId v = 0; v < n_; ++v) {
       private_streams_.emplace_back(
           coins.private_seed * 0x9e3779b97f4a7c15ULL + instance.id_of(v), coins.private_bits);
     }
   }
 
   // Shared KT-1 knowledge: one sorted ID table + one flat port table for all
-  // n vertices (the seed driver re-sorted per vertex: O(n^2 log n)).
-  std::shared_ptr<const Kt1ViewData> kt1;
+  // n vertices, instead of a per-vertex sort.
+  kt1_.reset();
   if (instance.mode() == KnowledgeMode::kKT1) {
-    kt1 = std::make_shared<const Kt1ViewData>(Kt1ViewData::build(instance));
+    kt1_ = std::make_shared<const Kt1ViewData>(Kt1ViewData::build(instance));
   }
 
   vertices_.clear();
-  vertices_.reserve(n);
-  for (VertexId v = 0; v < n; ++v) {
-    LocalView view = make_local_view(instance, v, bandwidth, kt1.get(),
-                                     coins.use_private ? &private_streams_[v] : coins.shared);
-    auto alg = factory();
+  vertices_.reserve(n_);
+  for (VertexId v = 0; v < n_; ++v) {
+    LocalView local = make_local_view(instance, v, bandwidth, kt1_.get(),
+                                      coins.use_private ? &private_streams_[v] : coins.shared);
+    auto alg = (*factory)();
     BCCLB_CHECK(alg != nullptr, "factory returned null algorithm");
-    alg->init(view);
+    alg->init(local);
     vertices_.push_back(std::move(alg));
   }
 
-  RunResult result;
-  result.kt1_view = kt1;
-
-  // SoA round state: the outbox is a value column, a width column (0 =
-  // silent) and a packed silence bitset; staging appends the same three
-  // columns per executed round.
-  out_values_.assign(n, 0);
-  out_widths_.assign(n, 0);
-  out_silent_.assign(words, ~0ULL);
-  inbox_.assign(ports, Message::silent());
+  inbox_.assign(n_ - 1, Message::silent());
   staged_values_.clear();
   staged_widths_.clear();
   staged_silent_.clear();
-  done_words_.assign(words, 0);
+}
 
-  // A crash-stopped vertex counts as finished: it will never broadcast
-  // again, so waiting on it would only burn rounds to the cap.
-  const auto vertex_done = [&](VertexId v, unsigned round) {
-    return vertices_[v]->finished() || (injector && injector->crashed(v, round));
-  };
+void RoundEngine::VertexProgram::broadcast(unsigned round, SoaBroadcasts& out) {
+  // Unchecked writes: the loop checks the bandwidth on the post-fault wire.
+  for (VertexId v = 0; v < n_; ++v) out.set_message(v, vertices_[v]->broadcast(round));
+}
 
-  unsigned t = 0;
-  for (; t < max_rounds; ++t) {
-    // Aggregate per-vertex completion into a packed bitset and fold it with
-    // the cache-blocked AND reduction.
-    std::fill(done_words_.begin(), done_words_.end(), 0);
-    for (VertexId v = 0; v < n; ++v) {
-      if (vertex_done(v, t)) done_words_[v / 64] |= 1ULL << (v % 64);
+void RoundEngine::VertexProgram::receive(unsigned round, const SoaBroadcasts& in) {
+  const auto values = in.values();
+  const auto widths = in.widths();
+  const auto silent = in.silent_words();
+  // Stage the transcript row from the delivered wire: one append per column.
+  staged_values_.insert(staged_values_.end(), values.begin(), values.end());
+  staged_widths_.insert(staged_widths_.end(), widths.begin(), widths.end());
+  staged_silent_.insert(staged_silent_.end(), silent.begin(), silent.end());
+
+  // Deliver: inbox[p] at v = broadcast of the peer behind port p — a gather
+  // by index from the shared outbox columns.
+  const std::size_t ports = n_ - 1;
+  const std::uint32_t* peers = peer_flat_.data();
+  for (VertexId v = 0; v < n_; ++v) {
+    const std::uint32_t* row = peers + static_cast<std::size_t>(v) * ports;
+    for (std::size_t p = 0; p < ports; ++p) {
+      const std::uint32_t u = row[p];
+      inbox_[p] = (silent[u / 64] >> (u % 64)) & 1 ? Message::silent()
+                                                   : Message::bits(values[u], widths[u]);
     }
-    if (all_bits_set(done_words_, n)) break;
+    vertices_[v]->receive(round, std::span<const Message>(inbox_.data(), ports));
+  }
+  ++rounds_done_;
+}
 
-    if (options.deadline_ns != 0) {
-      const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start);
-      if (static_cast<std::uint64_t>(elapsed.count()) >= options.deadline_ns) {
-        throw JobTimeoutError("watchdog deadline expired after " + std::to_string(t) + " rounds",
-                              {instance.digest(), -1, static_cast<std::int64_t>(t)});
-      }
-    }
-
-    // Collect this round's broadcasts into the shared SoA outbox.
-    for (VertexId v = 0; v < n; ++v) {
-      Message m = vertices_[v]->broadcast(t);
-      // Faults rewrite the wire, not the algorithm: the transcript records
-      // what was actually broadcast, so faulty runs replay bit-identically.
-      if (injector) m = injector->apply(t, v, m);
-      if (m.num_bits() > bandwidth) {
-        throw BandwidthViolationError(
-            "broadcast exceeds the bandwidth budget",
-            {instance.digest(), static_cast<std::int64_t>(v), static_cast<std::int64_t>(t)});
-      }
-      if (m.is_silent()) {
-        out_widths_[v] = 0;
-        out_silent_[v / 64] |= 1ULL << (v % 64);
-      } else {
-        out_values_[v] = m.value();
-        out_widths_[v] = static_cast<std::uint8_t>(m.num_bits());
-        out_silent_[v / 64] &= ~(1ULL << (v % 64));
-      }
-      result.total_bits_broadcast += m.num_bits();
-    }
-    // Stage the transcript row: one append per column.
-    staged_values_.insert(staged_values_.end(), out_values_.begin(), out_values_.end());
-    staged_widths_.insert(staged_widths_.end(), out_widths_.begin(), out_widths_.end());
-    staged_silent_.insert(staged_silent_.end(), out_silent_.begin(), out_silent_.end());
-
-    // Deliver: inbox[p] at v = broadcast of the peer behind port p — a
-    // gather by index from the shared outbox columns.
-    const std::uint32_t* peers = peer_flat_.data();
-    for (VertexId v = 0; v < n; ++v) {
-      const std::uint32_t* row = peers + static_cast<std::size_t>(v) * ports;
-      for (std::size_t p = 0; p < ports; ++p) {
-        const std::uint32_t u = row[p];
-        inbox_[p] = (out_silent_[u / 64] >> (u % 64)) & 1
-                        ? Message::silent()
-                        : Message::bits(out_values_[u], out_widths_[u]);
-      }
-      vertices_[v]->receive(t, std::span<const Message>(inbox_.data(), ports));
+bool RoundEngine::VertexProgram::all_finished() const {
+  for (VertexId v = 0; v < n_; ++v) {
+    if (!vertices_[v]->finished() && !(faults_ && faults_->crashed(v, rounds_done_))) {
+      return false;
     }
   }
+  return true;
+}
 
-  result.rounds_executed = t;
-  result.transcript = Transcript(n, t);
-  for (unsigned r = 0; r < t; ++r) {
-    const std::size_t value_row = static_cast<std::size_t>(r) * n;
+bool RoundEngine::VertexProgram::decision() const {
+  bool all = true;
+  for (const auto& v : vertices_) all = v->decide() && all;
+  return all;
+}
+
+std::uint64_t RoundEngine::VertexProgram::label_of(VertexId v) const {
+  return vertices_[v]->component_label().value_or(0);
+}
+
+std::size_t RoundEngine::VertexProgram::state_bytes() const {
+  return inbox_.capacity() * sizeof(Message) + peer_flat_.capacity() * sizeof(std::uint32_t) +
+         staged_values_.capacity() * sizeof(std::uint64_t) + staged_widths_.capacity() +
+         staged_silent_.capacity() * sizeof(std::uint64_t) +
+         vertices_.capacity() * sizeof(std::unique_ptr<VertexAlgorithm>);
+}
+
+void RoundEngine::VertexProgram::collect(RunResult& result) {
+  const unsigned rounds = rounds_done_;
+  const std::size_t words = (n_ + 63) / 64;
+  result.transcript = Transcript(n_, rounds);
+  for (unsigned r = 0; r < rounds; ++r) {
+    const std::size_t value_row = static_cast<std::size_t>(r) * n_;
     const std::size_t word_row = static_cast<std::size_t>(r) * words;
-    for (VertexId v = 0; v < n; ++v) {
+    for (VertexId v = 0; v < n_; ++v) {
       const bool silent = (staged_silent_[word_row + v / 64] >> (v % 64)) & 1;
       result.transcript.record(v, r,
                                silent ? Message::silent()
@@ -213,40 +175,15 @@ RunResult RoundEngine::run(const BccInstance& instance, unsigned bandwidth,
                                                       staged_widths_[value_row + v]));
     }
   }
-  result.all_finished = true;
-  for (VertexId v = 0; v < n && result.all_finished; ++v) {
-    result.all_finished = vertex_done(v, t);
-  }
-  if (injector) {
-    result.faults_applied = injector->take_log();
-    result.crashed_vertices = injector->crashed_by(t);
-  }
-  if (options.require_all_finished && !result.all_finished) {
-    throw RoundLimitError(
-        "run hit the round limit (" + std::to_string(max_rounds) + ") before every vertex finished",
-        {instance.digest(), -1, static_cast<std::int64_t>(t)});
-  }
-  result.vertex_decisions.reserve(n);
-  result.labels.reserve(n);
-  result.decision = true;
+  result.vertex_decisions.reserve(n_);
+  result.labels.reserve(n_);
   for (const auto& v : vertices_) {
-    const bool d = v->decide();
-    result.vertex_decisions.push_back(d);
-    result.decision = result.decision && d;
+    result.vertex_decisions.push_back(v->decide());
     result.labels.push_back(v->component_label());
   }
   result.agents = std::move(vertices_);
   vertices_.clear();
-
-  stats_.rounds = t;
-  stats_.total_bits = result.total_bits_broadcast;
-  stats_.peak_buffer_bytes = buffer_bytes();
-  stats_.wall_time_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                           start)
-          .count());
-  result.stats = stats_;
-  return result;
+  result.kt1_view = std::move(kt1_);
 }
 
 }  // namespace bcclb

@@ -1,19 +1,23 @@
-// The reusable BCC(b) round driver.
+// The per-vertex BCC(b) engine: VertexAlgorithm objects on the one round
+// loop.
 //
 // Per Section 1.2: in each round every vertex receives the previous round's
 // broadcasts on its ports, computes, and broadcasts at most b bits (or stays
-// silent). RoundEngine is the execution core behind every simulator entry
-// point: it owns flat, pre-allocated outbox/inbox/transcript buffers that
-// are sized once and reused across rounds *and* across runs, a flattened
-// per-wiring peer table so inbox delivery is index lookups into the shared
-// outbox, and the per-instance KT-1 knowledge tables computed once and
-// shared across all n vertices (LocalView spans). The steady-state round
-// loop performs no heap allocation.
+// silent). RoundEngine is the entry point for algorithms written one vertex
+// at a time. It runs no loop of its own: a private SoaProgram adapter owns
+// the n VertexAlgorithm objects, the per-instance KT-1 knowledge tables
+// (computed once and shared across all n vertices as LocalView spans), the
+// per-vertex coin streams and a flattened per-wiring peer table, so each
+// vertex's inbox is a gather by index from the shared outbox. The adapter
+// stages the Transcript from the post-fault wire, and RoundEngine::run
+// hands it to its SoaRoundEngine (soa_engine.h), which owns the round
+// skeleton, the watchdog, fault injection and the bandwidth check. All
+// buffers are sized once and reused across rounds *and* across runs; the
+// steady-state round loop performs no heap allocation.
 //
 // One engine serves one thread; BatchRunner gives each worker its own.
 #pragma once
 
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -23,6 +27,7 @@
 #include "bcc/faults.h"
 #include "bcc/instance.h"
 #include "bcc/message.h"
+#include "bcc/soa_engine.h"
 #include "bcc/transcript.h"
 
 namespace bcclb {
@@ -100,14 +105,6 @@ struct RunOptions {
   bool require_all_finished = false;
 };
 
-// Per-run observability: what one execution cost.
-struct RunStats {
-  unsigned rounds = 0;
-  std::uint64_t total_bits = 0;       // sum of broadcast lengths
-  std::uint64_t wall_time_ns = 0;     // run() wall time
-  std::size_t peak_buffer_bytes = 0;  // engine buffer footprint after the run
-};
-
 struct RunResult {
   unsigned rounds_executed = 0;
   bool all_finished = false;
@@ -140,13 +137,13 @@ class RoundEngine {
   RoundEngine(const RoundEngine&) = delete;
   RoundEngine& operator=(const RoundEngine&) = delete;
 
-  // Pre-sizes the flat buffers for instances up to (n, expected_rounds), so
-  // the first run doesn't grow them either. Optional: run() grows on demand.
+  // Pre-sizes the adapter's flat buffers for instances up to (n,
+  // expected_rounds). Optional: run() grows on demand.
   void reserve(std::size_t n, unsigned expected_rounds);
 
   // Runs up to max_rounds rounds (stopping early once every vertex reports
-  // finished). Throws if any broadcast exceeds the bandwidth; the engine's
-  // buffers stay valid and the engine is immediately reusable after a throw.
+  // finished). Throws if any broadcast on the wire exceeds the bandwidth;
+  // the engine is immediately reusable after a throw.
   RunResult run(const BccInstance& instance, unsigned bandwidth,
                 const AlgorithmFactory& factory, unsigned max_rounds,
                 const CoinSpec& coins = {});
@@ -159,37 +156,61 @@ class RoundEngine {
                 const RunOptions& options);
 
   // Stats of the most recent completed run.
-  const RunStats& last_stats() const { return stats_; }
+  const RunStats& last_stats() const { return loop_.last_stats(); }
 
   // Current footprint of the reusable buffers, in bytes.
-  std::size_t buffer_bytes() const;
+  std::size_t buffer_bytes() const { return loop_.buffer_bytes() + program_.state_bytes(); }
 
   // True while a run is executing on this engine (reentrancy guard for
   // callers that share a thread-local engine).
-  bool running() const { return running_; }
+  bool running() const { return loop_.running(); }
 
  private:
-  // Reused across runs; cleared, never shrunk. Round state is
-  // struct-of-arrays: the live outbox and the growing transcript staging are
-  // flat value/width columns plus packed silence bitsets (9.125 B per
-  // message instead of sizeof(Message) = 24), and the per-round "is every
-  // vertex finished?" aggregation is a packed bitset folded by the
-  // cache-blocked reductions in common/bitset_reduce.h. Only the inbox stays
-  // an array of Messages — it is the span the VertexAlgorithm API receives.
-  std::vector<Message> inbox_;                  // n - 1 entries, gather target
-  std::vector<std::uint32_t> peer_flat_;        // wiring, [v * (n-1) + p] = peer
-  std::vector<std::uint64_t> out_values_;       // n, current round
-  std::vector<std::uint8_t> out_widths_;        // n; 0 = silent
-  std::vector<std::uint64_t> out_silent_;       // packed, bit v = silent
-  std::vector<std::uint64_t> staged_values_;    // [t * n + v], grows per round
-  std::vector<std::uint8_t> staged_widths_;
-  std::vector<std::uint64_t> staged_silent_;    // per round: ceil(n/64) words
-  std::vector<std::uint64_t> done_words_;       // packed, bit v = finished/crashed
-  std::vector<std::unique_ptr<VertexAlgorithm>> vertices_;
-  std::vector<PublicCoins> private_streams_;
+  // The adapter: a whole-graph program whose state is one VertexAlgorithm
+  // per vertex. A crash-stopped vertex (read from the run's FaultInjector)
+  // counts as finished — it will never broadcast again, so waiting on it
+  // would only burn rounds to the cap.
+  class VertexProgram final : public SoaProgram {
+   public:
+    // Per-run inputs, set by RoundEngine::run before the loop starts.
+    const AlgorithmFactory* factory = nullptr;
+    CoinSpec coins{};
 
-  RunStats stats_;
-  bool running_ = false;
+    void reserve(std::size_t n, unsigned expected_rounds);
+    void init(const InstanceView& view, unsigned bandwidth, const FaultInjector* faults,
+              unsigned threads) override;
+    void broadcast(unsigned round, SoaBroadcasts& out) override;
+    void receive(unsigned round, const SoaBroadcasts& in) override;
+    bool all_finished() const override;
+    bool decision() const override;
+    std::uint64_t label_of(VertexId v) const override;
+    std::size_t state_bytes() const override;
+
+    // Moves the finished run's per-vertex outputs into `result`: the
+    // transcript of the delivered wire, decisions, labels, agents and the
+    // KT-1 view backing them.
+    void collect(RunResult& result);
+
+   private:
+    const FaultInjector* faults_ = nullptr;
+    std::size_t n_ = 0;
+    unsigned rounds_done_ = 0;  // receive() calls so far = the current round
+    // Reused across runs; cleared, never shrunk. The transcript staging is
+    // flat value/width columns plus packed silence bitsets appended once per
+    // round (9.125 B per message instead of sizeof(Message) = 24). Only the
+    // inbox is an array of Messages — it is the span VertexAlgorithm reads.
+    std::vector<Message> inbox_;                // n - 1 entries, gather target
+    std::vector<std::uint32_t> peer_flat_;      // wiring, [v * (n-1) + p] = peer
+    std::vector<std::uint64_t> staged_values_;  // [t * n + v], grows per round
+    std::vector<std::uint8_t> staged_widths_;
+    std::vector<std::uint64_t> staged_silent_;  // per round: ceil(n/64) words
+    std::vector<std::unique_ptr<VertexAlgorithm>> vertices_;
+    std::vector<PublicCoins> private_streams_;
+    std::shared_ptr<const Kt1ViewData> kt1_;
+  };
+
+  SoaRoundEngine loop_;
+  VertexProgram program_;
 };
 
 }  // namespace bcclb

@@ -3,8 +3,8 @@
 // BccSimulator is the historical single-instance entry point: it binds an
 // instance, a bandwidth and a coin model, and runs one algorithm to a
 // RunResult. Since the execution-core refactor it is a thin facade over
-// RoundEngine (see round_engine.h), which owns the actual round loop and its
-// pre-allocated buffers; instance sweeps should go through BatchRunner (see
+// RoundEngine (see round_engine.h), the per-vertex adapter on the one round
+// loop, with its pre-allocated buffers; instance sweeps should go through BatchRunner (see
 // batch_runner.h) instead of constructing one BccSimulator per instance.
 //
 // The vertex-algorithm interface (VertexAlgorithm, AlgorithmFactory) and

@@ -30,6 +30,7 @@ void SoaBroadcasts::reset(std::size_t n, unsigned bandwidth) {
   n_ = n;
   bandwidth_ = bandwidth;
   bits_sum_ = 0;
+  oversized_ = 0;
   values_.assign(n, 0);
   widths_.assign(n, 0);
   silent_.assign((n + 63) / 64, ~0ULL);
@@ -43,8 +44,23 @@ void SoaBroadcasts::set_bits(VertexId v, std::uint64_t value, unsigned len) {
     throw BandwidthViolationError("broadcast exceeds the bandwidth budget",
                                   {0, static_cast<std::int64_t>(v), -1});
   }
+  store(v, value, len);
+}
+
+void SoaBroadcasts::set_message(VertexId v, const Message& m) {
+  BCCLB_REQUIRE(v < n_, "vertex out of range");
+  if (m.is_silent()) {
+    set_silent(v);
+  } else {
+    store(v, m.value(), m.num_bits());
+  }
+}
+
+void SoaBroadcasts::store(VertexId v, std::uint64_t value, unsigned len) {
   bits_sum_ += len;
   bits_sum_ -= widths_[v];
+  oversized_ += len > bandwidth_ ? 1 : 0;
+  oversized_ -= widths_[v] > bandwidth_ ? 1 : 0;
   values_[v] = value;
   widths_[v] = static_cast<std::uint8_t>(len);
   silent_[v / 64] &= ~(1ULL << (v % 64));
@@ -53,6 +69,7 @@ void SoaBroadcasts::set_bits(VertexId v, std::uint64_t value, unsigned len) {
 void SoaBroadcasts::set_silent(VertexId v) {
   BCCLB_REQUIRE(v < n_, "vertex out of range");
   bits_sum_ -= widths_[v];
+  oversized_ -= widths_[v] > bandwidth_ ? 1 : 0;
   widths_[v] = 0;
   silent_[v / 64] |= 1ULL << (v % 64);
 }
@@ -78,22 +95,27 @@ SoaRunResult SoaRoundEngine::run(const InstanceView& view, unsigned bandwidth,
   const std::size_t n = view.num_vertices();
   BCCLB_REQUIRE(n >= 2, "need at least 2 vertices");
   if (bandwidth < 1 || bandwidth > 64) {
-    throw BandwidthViolationError("bandwidth must be in [1, 64]");
+    throw BandwidthViolationError("bandwidth must be in [1, 64]", {view.digest(), -1, -1});
   }
   BCCLB_REQUIRE(!running_, "SoaRoundEngine::run is not reentrant");
   running_ = true;
   SoaRunGuard guard{&running_};
 
-  // The fault hook: identical injector, identical audit log. The view's
-  // digest is O(1) for implicit instances (the satellite fix), so this
-  // no longer forces an O(n^2) walk.
+  // The fault hook, built once per run. The digest is computed only when
+  // faults are in play or on an error path (an explicit instance's digest
+  // walks the whole wiring; an implicit one's is O(1)).
   std::optional<FaultInjector> injector;
   if (options.faults != nullptr && !options.faults->empty()) {
     injector.emplace(*options.faults, n, bandwidth, view.digest(), options.attempt);
   }
 
-  program.init(view, bandwidth, injector.has_value(), options.threads);
+  program.init(view, bandwidth, injector ? &*injector : nullptr, options.threads);
   outbox_.reset(n, bandwidth);
+
+  const auto violation = [&](std::int64_t v, unsigned t) {
+    return BandwidthViolationError("broadcast exceeds the bandwidth budget",
+                                   {view.digest(), v, static_cast<std::int64_t>(t)});
+  };
 
   SoaRunResult result;
   RoundMajorDigest stream;
@@ -111,25 +133,33 @@ SoaRunResult SoaRoundEngine::run(const InstanceView& view, unsigned bandwidth,
       }
     }
 
-    program.broadcast(t, outbox_);
+    try {
+      program.broadcast(t, outbox_);
+    } catch (const BandwidthViolationError& e) {
+      // set_bits knows the vertex; the loop adds the instance and the round.
+      throw violation(e.context().vertex, t);
+    }
 
     if (injector) {
-      // Dense fault pass, v-ascending like RoundEngine: round-trip each slot
-      // through the injector, remembering rewritten slots so the program's
-      // intended broadcasts can be restored after delivery.
+      // Dense fault pass, v-ascending: round-trip each slot through the
+      // injector, checking the bandwidth on what actually goes on the wire
+      // and remembering rewritten slots so the program's intended
+      // broadcasts can be restored after delivery.
       fault_undo_.clear();
       for (VertexId v = 0; v < n; ++v) {
         const Message before = outbox_.message(v);
         const Message after = injector->apply(t, v, before);
+        if (after.num_bits() > bandwidth) throw violation(v, t);
         if (after != before) {
           fault_undo_.emplace_back(v, before);
-          if (after.is_silent()) {
-            outbox_.set_silent(v);
-          } else {
-            outbox_.set_bits(v, after.value(), after.num_bits());
-          }
+          outbox_.set_message(v, after);
         }
       }
+    }
+    if (outbox_.oversized() != 0) {
+      VertexId v = 0;
+      while (outbox_.num_bits(v) <= bandwidth) ++v;
+      throw violation(v, t);
     }
 
     result.total_bits_broadcast += outbox_.round_bits();
@@ -147,13 +177,7 @@ SoaRunResult SoaRoundEngine::run(const InstanceView& view, unsigned bandwidth,
     program.receive(t, outbox_);
 
     if (injector) {
-      for (const auto& [v, before] : fault_undo_) {
-        if (before.is_silent()) {
-          outbox_.set_silent(v);
-        } else {
-          outbox_.set_bits(v, before.value(), before.num_bits());
-        }
-      }
+      for (const auto& [v, before] : fault_undo_) outbox_.set_message(v, before);
     }
   }
 

@@ -1,34 +1,42 @@
-// The struct-of-arrays round engine: whole-graph programs at n = 10^6.
+// The BCC(b) round loop: the one place in the repository a round runs.
 //
-// RoundEngine drives one VertexAlgorithm object per vertex and gathers a
-// per-vertex inbox of n-1 Messages every round — inherently O(n^2) work and
-// memory per round, which is the right shape for enumeration-scale
-// experiments and the wrong shape for million-node runs. SoaRoundEngine
-// keeps the same model semantics but inverts the control flow: one
-// SoaProgram owns the state of *all* vertices in flat columns, each round is
-// broadcast(t) filling an SoA outbox (value column + width column + packed
-// silence bitset) followed by receive(t) reading it, and whole-graph
-// aggregation (total bits, agreement checks) happens as cache-blocked
-// std::uint64_t reductions (common/bitset_reduce.h) instead of per-vertex
-// scans. State is O(n); a program that exploits protocol structure (the
-// min-ID flood frontier) gets far below O(n) *work* per round too.
+// Per Section 1.2: in each round every vertex broadcasts at most b bits (or
+// stays silent), then receives every other vertex's broadcast.
+// SoaRoundEngine runs that loop for a whole-graph SoaProgram: one object
+// owns the state of *all* vertices, each round is broadcast(t) filling an
+// SoA outbox (value column + width column + packed silence bitset)
+// followed by receive(t) reading it. The loop owns everything a run needs
+// beyond the protocol itself: the round skeleton, the deadline watchdog,
+// the run's single FaultInjector, the bandwidth check, the round-limit
+// policy, the transcript digest stream and RunStats.
 //
-// Equivalence contract: a SoaProgram paired with a VertexAlgorithm must
-// produce the identical broadcast stream — same (silent, width, value) for
-// every (round, vertex) — on every instance both can run. The engine
-// streams the canonical round-major transcript digest (transcript.h) so the
-// pairing is checked end-to-end: explicit RoundEngine run on
-// view.to_explicit() and SoA run on the view must agree on
-// round_major_digest, decisions, labels, and fault audit logs. Transcript
-// digesting walks the outbox (O(n)/round), so it is opt-in: on in the
-// equivalence tests, off at scale, where the labels digest identifies the
-// outcome instead.
+// Two kinds of program run on it. Native programs (SoaMinIdFlood) keep O(n)
+// flat state, aggregate with cache-blocked std::uint64_t reductions
+// (common/bitset_reduce.h) and may exploit protocol structure to do far
+// less than O(n) work per round — the shape for million-node runs.
+// RoundEngine (round_engine.h) is the per-vertex adapter: a private
+// SoaProgram that owns one VertexAlgorithm per vertex and gathers each
+// vertex's (n-1)-message inbox from the outbox — O(n^2) per round, the
+// shape for enumeration-scale experiments.
 //
-// Fault injection replays the explicit engine exactly: when a plan is
-// active the engine round-trips every vertex's broadcast through the same
-// FaultInjector (dense, O(n)/round — fault studies are small-n by nature),
-// delivers the rewritten wire, and restores the program's intended
-// broadcasts afterwards so the persistent outbox stays consistent.
+// Equivalence contract: a native program paired with a VertexAlgorithm
+// must produce the identical broadcast stream — same (silent, width, value)
+// for every (round, vertex) — on every instance both can run. Since both
+// run on this loop, the contract is about the programs alone; the engine
+// streams the canonical round-major transcript digest (transcript.h), and
+// soa_engine_test checks RoundEngine on view.to_explicit() against the
+// native program on the view for equal round_major_digest, decisions,
+// labels and fault audit logs. Transcript digesting walks the outbox
+// (O(n)/round), so it is opt-in: on in the equivalence tests, off at scale,
+// where the labels digest identifies the outcome instead.
+//
+// Fault injection: with a plan active the engine round-trips every
+// vertex's broadcast through the FaultInjector (dense, O(n)/round — fault
+// studies are small-n by nature), delivers the rewritten wire, and restores
+// the program's intended broadcasts afterwards so the persistent outbox
+// stays consistent. The bandwidth check runs on that post-fault wire, so a
+// fault that silences an oversized broadcast is not a violation; every
+// violation reports the instance digest, the vertex and the round.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +48,16 @@
 #include "bcc/faults.h"
 #include "bcc/instance_view.h"
 #include "bcc/message.h"
-#include "bcc/round_engine.h"
 
 namespace bcclb {
+
+// Per-run observability: what one execution cost.
+struct RunStats {
+  unsigned rounds = 0;
+  std::uint64_t total_bits = 0;       // sum of broadcast lengths
+  std::uint64_t wall_time_ns = 0;     // run() wall time
+  std::size_t peak_buffer_bytes = 0;  // engine buffer footprint after the run
+};
 
 // One round's broadcasts for all n vertices, struct-of-arrays. The buffer
 // persists across rounds: a program only rewrites the slots whose value
@@ -55,10 +70,15 @@ class SoaBroadcasts {
   std::size_t size() const { return n_; }
   unsigned bandwidth() const { return bandwidth_; }
 
-  // Mirrors Message::bits + the engine's bandwidth check: len must be in
-  // [1, 64], value must fit, len <= bandwidth (BandwidthViolationError).
+  // Mirrors Message::bits plus an eager bandwidth check: len must be in
+  // [1, 64], value must fit, len <= bandwidth (BandwidthViolationError
+  // naming v; the engine adds the instance digest and the round).
   void set_bits(VertexId v, std::uint64_t value, unsigned len);
   void set_silent(VertexId v);
+
+  // Writes m without the bandwidth check: the engine checks the post-fault
+  // wire instead. The per-vertex adapter and the fault pass write here.
+  void set_message(VertexId v, const Message& m);
 
   bool is_silent(VertexId v) const { return (silent_[v / 64] >> (v % 64)) & 1; }
   // Mirrors Message::value(): throws on a silent slot, exactly as a
@@ -75,29 +95,38 @@ class SoaBroadcasts {
   // Sum of widths over non-silent slots; O(1), maintained on every write.
   std::uint64_t round_bits() const { return bits_sum_; }
 
+  // Number of slots wider than the bandwidth; O(1), maintained on every
+  // write. Nonzero only after set_message.
+  std::size_t oversized() const { return oversized_; }
+
   std::size_t buffer_bytes() const;
 
  private:
+  void store(VertexId v, std::uint64_t value, unsigned len);
+
   std::size_t n_ = 0;
   unsigned bandwidth_ = 1;
   std::uint64_t bits_sum_ = 0;
+  std::size_t oversized_ = 0;
   std::vector<std::uint64_t> values_;
   std::vector<std::uint8_t> widths_;
   std::vector<std::uint64_t> silent_;  // packed, bit v = silent
 };
 
 // A whole-graph protocol. One object owns every vertex's state; the engine
-// alternates broadcast/receive exactly as RoundEngine does per vertex.
+// alternates broadcast/receive once per round.
 class SoaProgram {
  public:
   virtual ~SoaProgram() = default;
 
-  // `exact` is true when fault injection may rewrite the wire between
-  // broadcast() and receive(): the program must then take its dense path
-  // (no frontier shortcuts, which assume the wire carries what was
-  // written). `threads` is the reduction width; results must be
-  // bit-identical for every value (use the common/bitset_reduce.h ops).
-  virtual void init(const InstanceView& view, unsigned bandwidth, bool exact,
+  // `faults` is the run's injector, or null for a fault-free run. Non-null
+  // means fault injection may rewrite the wire between broadcast() and
+  // receive(): the program must then take its dense path (no frontier
+  // shortcuts, which assume the wire carries what was written), and may
+  // read crash state from it. `threads` is the reduction width; results
+  // must be bit-identical for every value (use the common/bitset_reduce.h
+  // ops).
+  virtual void init(const InstanceView& view, unsigned bandwidth, const FaultInjector* faults,
                     unsigned threads) = 0;
 
   // Fill/refresh this round's broadcasts. The outbox persists across
@@ -156,6 +185,9 @@ class SoaRoundEngine {
                    unsigned max_rounds, const SoaRunOptions& options = {});
 
   const RunStats& last_stats() const { return stats_; }
+
+  // True while a run is executing on this engine.
+  bool running() const { return running_; }
 
   // Engine buffer footprint (the outbox columns); the program's state is
   // accounted separately via SoaProgram::state_bytes.

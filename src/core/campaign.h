@@ -16,7 +16,7 @@
 //     until the concurrently-resident engine footprints fit, and refuses —
 //     with a typed ResourceBudgetError naming budget and footprint — only
 //     jobs that cannot fit even alone;
-//   - per-job deadlines reuse the RoundEngine watchdog (JobTimeoutError is
+//   - per-job deadlines reuse the round loop's watchdog (JobTimeoutError is
 //     folded into the job's record, never the campaign's fate);
 //   - an interrupt flag (the CLI's SIGINT/SIGTERM sig_atomic_t) is polled
 //     between batches, flushing a final checkpoint before returning.

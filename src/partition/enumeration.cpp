@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "common/errors.h"
 #include "partition/bell.h"
+#include "partition/unrank.h"
 
 namespace bcclb {
 
@@ -28,10 +29,10 @@ bool next_rgs(std::vector<std::uint32_t>& rgs) {
 
 void for_each_partition(std::size_t n, const std::function<bool(const SetPartition&)>& visit) {
   BCCLB_REQUIRE(n >= 1, "ground set must be nonempty");
-  std::vector<std::uint32_t> rgs(n, 0);
-  do {
-    if (!visit(SetPartition(rgs))) return;
-  } while (next_rgs(rgs));
+  PartitionSlice slice(n, 0, checked_bell_u64(n));
+  while (slice.next()) {
+    if (!visit(SetPartition(slice.rgs()))) return;
+  }
 }
 
 std::vector<SetPartition> all_partitions(std::size_t n) {
@@ -54,41 +55,11 @@ std::vector<SetPartition> all_partitions(std::size_t n) {
         std::to_string(kMaxAllPartitionsN) +
         " (B_12 = 4213597); stream a PartitionSlice (partition/unrank.h) instead");
   }
+  PartitionSlice slice(n, 0, checked_bell_u64(n));
   std::vector<SetPartition> out;
-  out.reserve(bell_number(n).fits_u64() ? static_cast<std::size_t>(bell_number_u64(n)) : 0);
-  for_each_partition(n, [&](const SetPartition& p) {
-    out.push_back(p);
-    return true;
-  });
+  out.reserve(slice.remaining());
+  while (slice.next()) out.emplace_back(slice.rgs());
   return out;
-}
-
-std::uint64_t partition_index(const SetPartition& p) {
-  // Count the RGSs that precede p lexicographically. D(m, a) = number of
-  // ways to complete a suffix of length m when the prefix has maximum block
-  // index a; D(0, a) = 1 and D(m, a) = (a + 1) D(m-1, a) + D(m-1, a+1).
-  const std::size_t n = p.ground_size();
-  BCCLB_REQUIRE(n >= 1 && n <= 25, "partition_index supports 1 <= n <= 25");
-  std::vector<std::vector<std::uint64_t>> d(n + 1, std::vector<std::uint64_t>(n + 2, 0));
-  for (std::size_t a = 0; a <= n + 1; ++a) d[0][a] = 1;
-  for (std::size_t m = 1; m <= n; ++m) {
-    for (std::size_t a = 0; a + 1 <= n + 1; ++a) {
-      d[m][a] = (a + 1) * d[m - 1][a] + d[m - 1][a + 1];
-    }
-  }
-  const auto& rgs = p.rgs();
-  std::uint64_t index = 0;
-  std::uint32_t max_prefix = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    // Values smaller than rgs[i] at position i each fix a prefix-max for the
-    // remaining suffix.
-    for (std::uint32_t v = 0; v < rgs[i]; ++v) {
-      const std::uint32_t new_max = std::max(max_prefix, v);
-      index += d[n - 1 - i][new_max];
-    }
-    max_prefix = std::max(max_prefix, rgs[i]);
-  }
-  return index;
 }
 
 }  // namespace bcclb

@@ -13,15 +13,18 @@
 
 namespace bcclb {
 
-// All partitions of [n], in RGS-lexicographic order. B_n of them — keep n
-// small (B_12 ≈ 4.2M).
+// All partitions of [n], in RGS-lexicographic order: PartitionSlice(n, 0,
+// B_n) collected. B_n of them — keep n small (B_12 ≈ 4.2M); n > 12 throws a
+// typed RangeViolationError.
 std::vector<SetPartition> all_partitions(std::size_t n);
 
-// Visits partitions in RGS-lexicographic order without materializing them.
-// Stops early if the visitor returns false.
+// Visits partitions in RGS-lexicographic order without materializing them,
+// streaming PartitionSlice(n, 0, B_n). Stops early if the visitor returns
+// false.
 void for_each_partition(std::size_t n, const std::function<bool(const SetPartition&)>& visit);
 
-// Index of p within RGS-lexicographic order (inverse of all_partitions[i]).
+// Index of p within RGS-lexicographic order (inverse of all_partitions[i]);
+// O(n^2) probes of the memoized D(m, a) table behind partition/unrank.h.
 std::uint64_t partition_index(const SetPartition& p);
 
 // In-place successor in RGS-lexicographic order; returns false (and resets to

@@ -90,6 +90,24 @@ void unrank_rgs(std::size_t n, std::uint64_t index, std::vector<std::uint32_t>& 
   BCCLB_CHECK(rem == 0, "unrank left a nonzero remainder");
 }
 
+std::uint64_t partition_index(const SetPartition& p) {
+  // Count the RGSs that precede p lexicographically: at position i, every
+  // digit v < rgs[i] owns D(n-1-i, max(max_prefix, v)) completions.
+  const std::size_t n = p.ground_size();
+  BCCLB_REQUIRE(n >= 1 && n <= kMaxUnrankN, "partition_index supports 1 <= n <= 25");
+  const ExtensionCountTable& d = ExtensionCountTable::instance();
+  const auto& rgs = p.rgs();
+  std::uint64_t index = 0;
+  std::uint32_t max_prefix = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    for (std::uint32_t v = 0; v < rgs[i]; ++v) {
+      index += d.at(n - 1 - i, std::max(max_prefix, v));
+    }
+    max_prefix = std::max(max_prefix, rgs[i]);
+  }
+  return index;
+}
+
 SetPartition unrank_partition(std::size_t n, std::uint64_t index) {
   std::vector<std::uint32_t> rgs;
   unrank_rgs(n, index, rgs);

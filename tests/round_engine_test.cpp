@@ -1,13 +1,16 @@
-// RoundEngine edge cases: exception safety on bandwidth violations, round
-// limits with unfinished vertices, buffer reuse across heterogeneous runs,
-// and the n = 2 minimal instance.
+// RoundEngine edge cases: exception safety and error context on bandwidth
+// violations, the bandwidth check on the post-fault wire, early stop on
+// crash-stopped vertices, round limits with unfinished vertices, buffer
+// reuse across heterogeneous runs, and the n = 2 minimal instance.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "bcc/algorithms/boruvka.h"
 #include "bcc/algorithms/min_id_flood.h"
+#include "bcc/faults.h"
 #include "bcc/round_engine.h"
+#include "common/errors.h"
 #include "common/random.h"
 #include "graph/generators.h"
 
@@ -63,6 +66,17 @@ TEST(RoundEngine, BandwidthViolationThrowsAndEngineStaysUsable) {
   EXPECT_THROW(engine.run(instance, 1, width_ramp_factory(3), 10), std::invalid_argument);
   EXPECT_FALSE(engine.running());
 
+  // The error names the instance, the first oversized vertex and the round.
+  try {
+    engine.run(instance, 1, width_ramp_factory(3), 10);
+    ADD_FAILURE() << "expected a BandwidthViolationError";
+  } catch (const BandwidthViolationError& e) {
+    EXPECT_EQ(e.context().instance_digest, instance.digest());
+    EXPECT_EQ(e.context().vertex, 0);
+    EXPECT_EQ(e.context().round, 1);
+  }
+  EXPECT_FALSE(engine.running());
+
   // The engine must be immediately reusable and produce results identical to
   // a fresh engine's: the throw may not leave stale rounds, vertices or
   // counters behind in the reused buffers.
@@ -89,6 +103,70 @@ TEST(RoundEngine, RepeatedViolationsNeverWedgeTheEngine) {
   const RunResult ok =
       engine.run(instance, 3, min_id_flood_factory(), MinIdFloodAlgorithm::rounds_needed(6));
   EXPECT_TRUE(ok.all_finished);
+}
+
+TEST(RoundEngine, BandwidthIsCheckedOnThePostFaultWire) {
+  Rng rng(31);
+  const BccInstance instance = BccInstance::kt1(random_gnp(5, 0.5, rng));
+  RoundEngine engine;
+
+  // Every round-1 broadcast is 3 bits wide at b = 1, but drops (and a crash)
+  // silence all of them before they reach the wire: nothing oversized is
+  // delivered, so the run completes.
+  FaultPlan silenced;
+  for (VertexId v = 0; v < 4; ++v) silenced.drop(v, 1);
+  silenced.crash(4, 1);
+  RunOptions options;
+  options.faults = &silenced;
+  const RunResult r = engine.run(instance, 1, width_ramp_factory(3), 2, options);
+  EXPECT_EQ(r.rounds_executed, 2u);
+  for (VertexId v = 0; v < 5; ++v) {
+    EXPECT_EQ(r.transcript.sent(v, 0), Message::one_bit(true)) << v;
+    EXPECT_TRUE(r.transcript.sent(v, 1).is_silent()) << v;
+  }
+  EXPECT_EQ(r.total_bits_broadcast, 5u);
+  EXPECT_EQ(r.faults_applied.size(), 5u);
+
+  // Leave vertex 3's broadcast on the wire and the run throws, naming it.
+  FaultPlan partial;
+  for (const VertexId v : {0u, 1u, 2u, 4u}) partial.drop(v, 1);
+  options.faults = &partial;
+  try {
+    engine.run(instance, 1, width_ramp_factory(3), 2, options);
+    ADD_FAILURE() << "expected a BandwidthViolationError";
+  } catch (const BandwidthViolationError& e) {
+    EXPECT_EQ(e.context().instance_digest, instance.digest());
+    EXPECT_EQ(e.context().vertex, 3);
+    EXPECT_EQ(e.context().round, 1);
+  }
+  EXPECT_FALSE(engine.running());
+}
+
+TEST(RoundEngine, CrashStoppedVerticesCountAsFinished) {
+  // NeverFinishes vertices stop only at the round limit — unless crashed. A
+  // crash-stopped vertex counts as finished, so the run stops at the round
+  // the last vertex crashes in.
+  Rng rng(29);
+  const BccInstance instance = BccInstance::kt1(random_gnp(6, 0.5, rng));
+  FaultPlan plan;
+  for (VertexId v = 0; v < 6; ++v) plan.crash(v, v < 3 ? 2 : 4);
+  RunOptions options;
+  options.faults = &plan;
+  options.require_all_finished = true;
+
+  RoundEngine engine;
+  const RunResult r = engine.run(instance, 1, never_finishes_factory(), 10, options);
+  EXPECT_EQ(r.rounds_executed, 4u);
+  EXPECT_TRUE(r.all_finished);
+  EXPECT_EQ(r.crashed_vertices, (std::vector<VertexId>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(r.transcript.num_rounds(), 4u);
+  // Rounds 0-1: six 1-bit broadcasts; rounds 2-3: vertices 0-2 are silent.
+  EXPECT_EQ(r.total_bits_broadcast, 2u * 6u + 2u * 3u);
+
+  // Fault-free, the same run burns the whole cap.
+  const RunResult capped = engine.run(instance, 1, never_finishes_factory(), 10);
+  EXPECT_EQ(capped.rounds_executed, 10u);
+  EXPECT_FALSE(capped.all_finished);
 }
 
 TEST(RoundEngine, RoundLimitWithUnfinishedVertices) {

@@ -1,8 +1,10 @@
-// SoaRoundEngine vs RoundEngine: the equivalence contract that pins the SoA
-// scale path to the per-vertex reference engine — identical round-major
+// SoaMinIdFlood vs MinIdFloodAlgorithm on RoundEngine (the per-vertex
+// adapter on the same loop): the equivalence contract that pins the native
+// SoA program to the per-vertex reference — identical round-major
 // transcript digests, decisions, labels, and fault audit logs on every
-// instance both can run — plus the SoaBroadcasts buffer unit tests, thread
-// invariance, BatchRunner::run_implicit, and the 10^5 scale smoke.
+// instance both can run — plus the SoaBroadcasts buffer unit tests, the
+// loop's bandwidth-error context, thread invariance, BatchRunner::
+// run_implicit, and the 10^5 scale smoke.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,9 +51,30 @@ TEST(SoaBroadcasts, TracksBitsIncrementallyAndValidatesWrites) {
   EXPECT_THROW(out.set_bits(2, 0, 0), std::invalid_argument);   // len < 1
   EXPECT_THROW(out.set_bits(2, 0b100, 2), std::invalid_argument);  // value doesn't fit
   EXPECT_THROW(out.set_bits(2, 0, 9), BandwidthViolationError);    // len > bandwidth
+  // Outside a run the buffer knows only the vertex; the engine adds the rest.
+  try {
+    out.set_bits(2, 0, 9);
+  } catch (const BandwidthViolationError& e) {
+    EXPECT_EQ(e.context().instance_digest, 0u);
+    EXPECT_EQ(e.context().vertex, 2);
+    EXPECT_EQ(e.context().round, -1);
+  }
 
   // Failed writes must not corrupt the running total.
   EXPECT_EQ(out.round_bits(), 5u);
+}
+
+TEST(SoaBroadcasts, UncheckedWritesCountOversizedSlots) {
+  SoaBroadcasts out;
+  out.reset(3, 2);
+  out.set_message(0, Message::bits(0b111, 3));
+  out.set_message(1, Message::bits(0b1111, 4));
+  EXPECT_EQ(out.oversized(), 2u);
+  EXPECT_EQ(out.round_bits(), 7u);
+  out.set_message(0, Message::silent());
+  out.set_bits(1, 0b10, 2);
+  EXPECT_EQ(out.oversized(), 0u);
+  EXPECT_EQ(out.round_bits(), 2u);
 }
 
 // ---- helpers ----------------------------------------------------------------
@@ -182,6 +205,68 @@ TEST(SoaEquivalence, DecisionMatchesGroundTruthOnCycleFamilies) {
     EXPECT_EQ(result.decision, expected == 1) << context_of(spec);
     EXPECT_EQ(program.num_components(), expected) << context_of(spec);
   }
+}
+
+// ---- bandwidth violations ---------------------------------------------------
+
+// A min-ID flood whose vertex `vertex` writes one bit over the budget in
+// round `round`: set_bits throws mid-broadcast, inside the loop.
+class OvershootingFlood final : public SoaProgram {
+ public:
+  OvershootingFlood(VertexId vertex, unsigned round) : vertex_(vertex), round_(round) {}
+  void init(const InstanceView& view, unsigned bandwidth, const FaultInjector* faults,
+            unsigned threads) override {
+    bandwidth_ = bandwidth;
+    flood_.init(view, bandwidth, faults, threads);
+  }
+  void broadcast(unsigned round, SoaBroadcasts& out) override {
+    flood_.broadcast(round, out);
+    if (round == round_) out.set_bits(vertex_, 0, bandwidth_ + 1);
+  }
+  void receive(unsigned round, const SoaBroadcasts& in) override { flood_.receive(round, in); }
+  bool all_finished() const override { return flood_.all_finished(); }
+  bool decision() const override { return flood_.decision(); }
+  std::uint64_t label_of(VertexId v) const override { return flood_.label_of(v); }
+  std::size_t state_bytes() const override { return flood_.state_bytes(); }
+
+ private:
+  SoaMinIdFlood flood_;
+  VertexId vertex_;
+  unsigned round_;
+  unsigned bandwidth_ = 1;
+};
+
+TEST(SoaRoundEngine, BandwidthViolationCarriesDigestVertexAndRound) {
+  ImplicitSpec spec;
+  spec.n = 12;
+  spec.family = ImplicitFamily::kTwoCycle;
+  spec.seed = 5;
+  const unsigned bw = flood_bandwidth(spec.n);
+  const InstanceView view(spec);
+  const BccInstance mat = view.to_explicit();
+
+  SoaRoundEngine engine;
+  for (const InstanceView& v : {view, InstanceView(&mat)}) {
+    OvershootingFlood program(5, 3);
+    try {
+      engine.run(v, bw, program, SoaMinIdFlood::rounds_needed(spec.n));
+      ADD_FAILURE() << "expected a BandwidthViolationError";
+    } catch (const BandwidthViolationError& e) {
+      EXPECT_EQ(e.context().instance_digest, v.digest());
+      EXPECT_EQ(e.context().vertex, 5);
+      EXPECT_EQ(e.context().round, 3);
+    }
+    EXPECT_FALSE(engine.running());
+  }
+  EXPECT_NE(view.digest(), mat.digest());  // both representations were named
+
+  // The engine stays usable: a clean flood matches a fresh engine's.
+  SoaMinIdFlood reused_program;
+  const SoaRunResult reused =
+      engine.run(view, bw, reused_program, SoaMinIdFlood::rounds_needed(spec.n));
+  const SoaOutcome fresh = run_soa(view, bw, 1, nullptr);
+  EXPECT_EQ(reused.labels_digest, fresh.result.labels_digest);
+  EXPECT_EQ(reused.total_bits_broadcast, fresh.result.total_bits_broadcast);
 }
 
 // ---- fault equivalence ------------------------------------------------------
