@@ -142,7 +142,7 @@ class PivotStore {
  public:
   virtual ~PivotStore() = default;
   // Persists a tile's segment; returns the FNV-1a digest of its bytes.
-  virtual std::uint64_t append_segment(std::size_t tile_index, const std::string& bytes) = 0;
+  virtual std::uint64_t append_segment(std::size_t tile_index, std::string_view bytes) = 0;
   // Re-registers a previously persisted segment (resume); verifies size and
   // digest and returns its bytes for pivot-column recovery.
   virtual std::string reload_segment(std::size_t tile_index, std::size_t expect_bytes,
@@ -157,9 +157,9 @@ class PivotStore {
 
 class MemoryPivotStore final : public PivotStore {
  public:
-  std::uint64_t append_segment(std::size_t, const std::string& bytes) override {
+  std::uint64_t append_segment(std::size_t, std::string_view bytes) override {
     resident_ += bytes.size();
-    segments_.push_back(bytes);
+    segments_.emplace_back(bytes);
     return fnv1a(bytes);
   }
 
@@ -186,7 +186,7 @@ class DiskPivotStore final : public PivotStore {
  public:
   explicit DiskPivotStore(std::string dir) : dir_(std::move(dir)) {}
 
-  std::uint64_t append_segment(std::size_t tile_index, const std::string& bytes) override {
+  std::uint64_t append_segment(std::size_t tile_index, std::string_view bytes) override {
     const std::string path = rank_segment_path(dir_, tile_index);
     write_file_atomic(path, bytes);
     paths_.push_back(path);
@@ -233,7 +233,31 @@ struct SegmentMeta {
   std::uint64_t digest = 0;
 };
 
+// ---- pivot chunk skipping ----------------------------------------------------
+
+// Tile rows that are nonzero at any of a chunk's pivot columns. Every other
+// row solves to all-zero coefficients for every pivot of the chunk (by
+// induction over the triangular in-batch solve: f_j = r[c_j] - sum_{i<j}
+// f_i q_i[c_j] = 0), so the chunk leaves it unchanged.
+template <typename NonzeroAt>
+void rows_touching(std::size_t rows, const std::uint64_t* cols, std::size_t count,
+                   const NonzeroAt& nonzero_at, std::vector<std::size_t>& active) {
+  active.clear();
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t j = 0; j < count; ++j) {
+      if (nonzero_at(r, cols[j])) {
+        active.push_back(r);
+        break;
+      }
+    }
+  }
+}
+
 // ---- GF(2) elimination -------------------------------------------------------
+
+// A worker builds a 256-entry four-Russians table per batch only when it owns
+// at least this many rows; below that, direct XORs are cheaper.
+constexpr std::size_t kGf2TableMinRows = 64;
 
 inline bool gf2_bit(const std::uint64_t* row, std::uint64_t c) {
   return (row[c / 64] >> (c % 64)) & 1ULL;
@@ -243,44 +267,51 @@ inline void gf2_xor(std::uint64_t* row, const std::uint64_t* other, std::size_t 
   for (std::size_t w = 0; w < words; ++w) row[w] ^= other[w];
 }
 
-// Reduces every work row against pivots q_0..q_{count-1} (consecutive in
-// global insertion order). Batches of <= 8: the in-batch dependency is
-// triangular (an earlier pivot row may be nonzero at a later pivot's
-// column, never vice versa), so the batch coefficients solve in 8 bit
-// steps; then one XOR-combination — via a 2^s four-Russians table when the
-// tile is tall enough to amortize it — clears all s columns at once. XOR is
-// exact, so table and direct paths, any batching, and any thread split
-// produce identical rows.
-void gf2_reduce_rows(std::uint64_t* work, std::size_t rows, std::size_t words,
-                     const std::uint64_t* pivots, const std::uint64_t* cols, std::size_t count,
-                     unsigned threads, std::vector<std::uint64_t>& table_scratch) {
-  for (std::size_t b = 0; b < count; b += 8) {
-    const std::size_t s = std::min<std::size_t>(8, count - b);
-    const std::uint64_t* q[8];
-    std::uint64_t c[8];
-    std::uint8_t tri[8] = {0, 0, 0, 0, 0, 0, 0, 0};  // tri[j] bit i = q_i[c_j], i < j
-    for (std::size_t j = 0; j < s; ++j) {
-      q[j] = pivots + (b + j) * words;
-      c[j] = cols[b + j];
-    }
-    for (std::size_t j = 1; j < s; ++j) {
-      for (std::size_t i = 0; i < j; ++i) {
-        if (gf2_bit(q[i], c[j])) tri[j] |= static_cast<std::uint8_t>(1U << i);
+// Reduces the `active` work rows against pivots q_0..q_{count-1}
+// (consecutive in global insertion order) in one parallel region: each
+// worker runs every batch, in order, over its own rows. Batches of <= 8: the
+// in-batch dependency is triangular (an earlier pivot row may be nonzero at a
+// later pivot's column, never vice versa), so the batch coefficients solve in
+// 8 bit steps; then one XOR-combination — via a worker-local 2^s
+// four-Russians table when the worker has enough rows to amortize it —
+// clears all s columns at once. XOR is exact, so table and direct paths, any
+// batching, and any thread split produce identical rows.
+void gf2_reduce_rows(std::uint64_t* work, const std::vector<std::size_t>& active,
+                     std::size_t words, const std::uint64_t* pivots, const std::uint64_t* cols,
+                     std::size_t count, unsigned threads) {
+  parallel_for_blocks(active.size(), threads, [&](std::size_t begin, std::size_t end) {
+    const bool use_table = end - begin >= kGf2TableMinRows;
+    std::vector<std::uint64_t> table;
+    for (std::size_t b = 0; b < count; b += 8) {
+      const std::size_t s = std::min<std::size_t>(8, count - b);
+      const std::uint64_t* q[8];
+      std::uint64_t c[8];
+      std::uint8_t tri[8] = {0, 0, 0, 0, 0, 0, 0, 0};  // tri[j] bit i = q_i[c_j], i < j
+      for (std::size_t j = 0; j < s; ++j) {
+        q[j] = pivots + (b + j) * words;
+        c[j] = cols[b + j];
       }
-    }
-    const bool use_table = rows >= 64;
-    if (use_table) {
-      table_scratch.assign((std::size_t{1} << s) * words, 0);
-      for (std::size_t m = 1; m < (std::size_t{1} << s); ++m) {
-        const std::size_t lsb = static_cast<std::size_t>(__builtin_ctzll(m));
-        std::uint64_t* dst = &table_scratch[m * words];
-        std::memcpy(dst, &table_scratch[(m & (m - 1)) * words], words * sizeof(std::uint64_t));
-        gf2_xor(dst, q[lsb], words);
+      for (std::size_t j = 1; j < s; ++j) {
+        for (std::size_t i = 0; i < j; ++i) {
+          if (gf2_bit(q[i], c[j])) tri[j] |= static_cast<std::uint8_t>(1U << i);
+        }
       }
-    }
-    parallel_for_blocks(rows, threads, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t r = begin; r < end; ++r) {
-        std::uint64_t* row = work + r * words;
+      // Pivot rows are zero before their lead, so the sweep starts at the
+      // word holding the batch's smallest lead.
+      const std::size_t w0 = static_cast<std::size_t>(*std::min_element(c, c + s) / 64);
+      const std::size_t span = words - w0;
+      if (use_table) {
+        table.resize((std::size_t{1} << s) * span);
+        std::fill(table.begin(), table.begin() + static_cast<std::ptrdiff_t>(span), 0);
+        for (std::size_t m = 1; m < (std::size_t{1} << s); ++m) {
+          const std::size_t lsb = static_cast<std::size_t>(__builtin_ctzll(m));
+          std::uint64_t* dst = &table[m * span];
+          std::memcpy(dst, &table[(m & (m - 1)) * span], span * sizeof(std::uint64_t));
+          gf2_xor(dst, q[lsb] + w0, span);
+        }
+      }
+      for (std::size_t k = begin; k < end; ++k) {
+        std::uint64_t* row = work + active[k] * words;
         std::uint32_t mask = 0;
         for (std::size_t j = 0; j < s; ++j) {
           const std::uint32_t f =
@@ -290,38 +321,41 @@ void gf2_reduce_rows(std::uint64_t* work, std::size_t rows, std::size_t words,
         }
         if (mask == 0) continue;
         if (use_table) {
-          gf2_xor(row, &table_scratch[static_cast<std::size_t>(mask) * words], words);
+          gf2_xor(row + w0, &table[static_cast<std::size_t>(mask) * span], span);
         } else {
           for (std::size_t j = 0; j < s; ++j) {
-            if (mask & (1U << j)) gf2_xor(row, q[j], words);
+            if (mask & (1U << j)) gf2_xor(row + w0, q[j] + w0, span);
           }
         }
       }
-    });
-  }
+    }
+  });
 }
 
 // ---- mod-p elimination -------------------------------------------------------
 
-// Solves the triangular batch coefficients f_j = (r[c_j] - sum_{i<j} f_i *
-// q_i[c_j]) mod p, then applies r -= sum f_j q_j with raw u64 accumulation:
-// 8 products below 2^60 plus carries stay below 2^63, so one % p per entry
-// per 8 pivots. Modular arithmetic is exact — batching/chunking/threads
-// cannot change the reduced row.
-void modp_reduce_rows(std::uint32_t* work, std::size_t rows, std::size_t cols, std::uint64_t p,
-                      const std::uint32_t* pivots, const std::uint64_t* pivot_cols,
-                      std::size_t count, unsigned threads) {
-  for (std::size_t b = 0; b < count; b += 8) {
-    const std::size_t s = std::min<std::size_t>(8, count - b);
-    const std::uint32_t* q[8];
-    std::uint64_t c[8];
-    for (std::size_t j = 0; j < s; ++j) {
-      q[j] = pivots + (b + j) * cols;
-      c[j] = pivot_cols[b + j];
-    }
-    parallel_for_blocks(rows, threads, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t r = begin; r < end; ++r) {
-        std::uint32_t* row = work + r * cols;
+// Same region and batch structure as gf2_reduce_rows. Solves the triangular
+// batch coefficients f_j = (r[c_j] - sum_{i<j} f_i * q_i[c_j]) mod p, then
+// applies r -= sum f_j q_j with raw u64 accumulation: 8 products below 2^60
+// plus carries stay below 2^63, so one % p per entry per 8 pivots. Modular
+// arithmetic is exact — batching/chunking/threads cannot change the reduced
+// row.
+void modp_reduce_rows(std::uint32_t* work, const std::vector<std::size_t>& active,
+                      std::size_t cols, std::uint64_t p, const std::uint32_t* pivots,
+                      const std::uint64_t* pivot_cols, std::size_t count, unsigned threads) {
+  parallel_for_blocks(active.size(), threads, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t b = 0; b < count; b += 8) {
+      const std::size_t s = std::min<std::size_t>(8, count - b);
+      const std::uint32_t* q[8];
+      std::uint64_t c[8];
+      for (std::size_t j = 0; j < s; ++j) {
+        q[j] = pivots + (b + j) * cols;
+        c[j] = pivot_cols[b + j];
+      }
+      // Pivot rows are zero before their lead: sweep from the smallest one.
+      const std::size_t lead = static_cast<std::size_t>(*std::min_element(c, c + s));
+      for (std::size_t k = begin; k < end; ++k) {
+        std::uint32_t* row = work + active[k] * cols;
         std::uint64_t f[8] = {0, 0, 0, 0, 0, 0, 0, 0};
         bool any = false;
         for (std::size_t j = 0; j < s; ++j) {
@@ -333,7 +367,7 @@ void modp_reduce_rows(std::uint32_t* work, std::size_t rows, std::size_t cols, s
           any = any || f[j] != 0;
         }
         if (!any) continue;
-        for (std::size_t x = 0; x < cols; ++x) {
+        for (std::size_t x = lead; x < cols; ++x) {
           std::uint64_t acc = 0;
           for (std::size_t j = 0; j < s; ++j) acc += f[j] * q[j][x];
           if (acc == 0) continue;
@@ -342,8 +376,8 @@ void modp_reduce_rows(std::uint32_t* work, std::size_t rows, std::size_t cols, s
           row[x] = static_cast<std::uint32_t>(v >= sub ? v - sub : v + p - sub);
         }
       }
-    });
-  }
+    }
+  });
 }
 
 // ---- checkpoint serialization ------------------------------------------------
@@ -484,13 +518,17 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
   const std::size_t tiles_total = (dimension + K - 1) / K;
 
   // Resident footprint: the packed tile bits, the field-native working tile,
-  // the new-segment staging buffer, the four-Russians table, and the pivot
-  // chunk buffer (the only part the budget can shrink).
+  // the new-segment staging buffer, one four-Russians table per worker that
+  // owns enough rows to build one, and the pivot chunk buffer (the only part
+  // the budget can shrink).
   const std::size_t tile_bits_bytes = K * words * sizeof(std::uint64_t);
   const std::size_t work_bytes = K * row_bytes;
-  const std::size_t fixed_bytes =
-      tile_bits_bytes + (cfg.field == RankField::kModp ? work_bytes : 0) + work_bytes +
-      256 * (cfg.field == RankField::kGf2 ? words * sizeof(std::uint64_t) : 0);
+  const std::size_t workers = cfg.threads > 0 ? cfg.threads : default_parallel_threads();
+  const std::size_t gf2_tables =
+      cfg.field == RankField::kGf2 ? std::min(workers, K / kGf2TableMinRows) : 0;
+  const std::size_t fixed_bytes = tile_bits_bytes +
+                                  (cfg.field == RankField::kModp ? work_bytes : 0) + work_bytes +
+                                  gf2_tables * 256 * words * sizeof(std::uint64_t);
   std::size_t chunk_rows = 4096;
   if (cfg.mem_budget_bytes > 0) {
     const std::size_t min_bytes = fixed_bytes + 8 * row_bytes;
@@ -504,6 +542,8 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
         chunk_rows, (cfg.mem_budget_bytes - fixed_bytes) / row_bytes);
   }
   chunk_rows = std::max<std::size_t>(chunk_rows, 8);
+  // A chunk never spans two segments, and a segment holds at most K rows.
+  const std::size_t chunk_bytes = std::min(chunk_rows, K) * row_bytes;
 
   std::unique_ptr<PivotStore> store;
   const std::string ckpt_path = cfg.dir.empty() ? std::string() : rank_checkpoint_path(cfg.dir);
@@ -561,10 +601,10 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
   report.dimension = dimension;
   report.tiles_total = tiles_total;
   report.tiles_resumed = st.tiles_done;
-  report.peak_resident_bytes = fixed_bytes + chunk_rows * row_bytes + store->resident_bytes();
+  report.peak_resident_bytes = fixed_bytes + chunk_bytes + store->resident_bytes();
 
   std::vector<std::uint64_t> chunk;       // u64-aligned; rows in field layout
-  std::vector<std::uint64_t> gf2_table;
+  std::vector<std::size_t> active;        // tile rows the current chunk changes
   std::vector<std::uint64_t> gf2_work;
   std::vector<std::uint32_t> modp_work;
   std::vector<std::uint64_t> gf2_new_seg;   // staged new pivot rows (GF(2))
@@ -608,21 +648,36 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
     }
 
     // Phase 1: reduce the whole tile against every prior pivot, streamed in
-    // insertion order through the bounded chunk buffer.
+    // insertion order through the bounded chunk buffer. A chunk is read and
+    // applied only when some tile row is nonzero at one of its pivot columns.
     bool aborted = false;
     std::size_t applied = 0;
     for (std::size_t s = 0; s < st.segments.size() && !aborted; ++s) {
       const SegmentMeta& seg = st.segments[s];
       for (std::size_t cb = 0; cb < seg.rows; cb += chunk_rows) {
         const std::size_t nc = std::min(chunk_rows, seg.rows - cb);
-        store->read_rows(s, cb, cb + nc, row_bytes, chunk);
+        const std::uint64_t* cols = pivot_cols.data() + applied;
         if (cfg.field == RankField::kGf2) {
-          gf2_reduce_rows(gf2_work.data(), rows, words, chunk.data(),
-                          pivot_cols.data() + applied, nc, cfg.threads, gf2_table);
+          rows_touching(rows, cols, nc, [&](std::size_t r, std::uint64_t c) {
+            return gf2_bit(gf2_work.data() + r * words, c);
+          }, active);
         } else {
-          modp_reduce_rows(modp_work.data(), rows, dimension, cfg.prime,
-                           reinterpret_cast<const std::uint32_t*>(chunk.data()),
-                           pivot_cols.data() + applied, nc, cfg.threads);
+          rows_touching(rows, cols, nc, [&](std::size_t r, std::uint64_t c) {
+            return modp_work[r * dimension + c] != 0;
+          }, active);
+        }
+        if (active.empty()) {
+          ++report.segments_skipped;
+        } else {
+          ++report.segments_read;
+          store->read_rows(s, cb, cb + nc, row_bytes, chunk);
+          if (cfg.field == RankField::kGf2) {
+            gf2_reduce_rows(gf2_work.data(), active, words, chunk.data(), cols, nc, cfg.threads);
+          } else {
+            modp_reduce_rows(modp_work.data(), active, dimension, cfg.prime,
+                             reinterpret_cast<const std::uint32_t*>(chunk.data()), cols, nc,
+                             cfg.threads);
+          }
         }
         applied += nc;
         if (interrupted()) {
@@ -643,7 +698,8 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
         std::uint64_t* row = gf2_work.data() + r * words;
         for (std::size_t jp = 0; jp < new_cols.size(); ++jp) {
           if (gf2_bit(row, new_cols[jp])) {
-            gf2_xor(row, gf2_new_seg.data() + jp * words, words);
+            const std::size_t w0 = static_cast<std::size_t>(new_cols[jp] / 64);
+            gf2_xor(row + w0, gf2_new_seg.data() + jp * words + w0, words - w0);
           }
         }
         std::uint64_t lead = dimension;
@@ -666,7 +722,7 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
           const std::uint64_t f = row[new_cols[jp]];
           if (f == 0) continue;
           const std::uint32_t* q = modp_new_seg.data() + jp * dimension;
-          for (std::size_t x = 0; x < dimension; ++x) {
+          for (std::size_t x = static_cast<std::size_t>(new_cols[jp]); x < dimension; ++x) {
             const std::uint64_t sub = (f * q[x]) % p;
             const std::uint64_t v = row[x];
             row[x] = static_cast<std::uint32_t>(v >= sub ? v - sub : v + p - sub);
@@ -682,7 +738,7 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
         if (lead < dimension) {
           if (row[lead] != 1) {
             const std::uint64_t inv = modp_inverse(row[lead], p);
-            for (std::size_t x = 0; x < dimension; ++x) {
+            for (std::size_t x = static_cast<std::size_t>(lead); x < dimension; ++x) {
               row[x] = static_cast<std::uint32_t>((row[x] * inv) % p);
             }
           }
@@ -692,14 +748,15 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
       }
     }
 
-    // Phase 3: persist the segment, extend the digest chain, checkpoint.
-    std::string segment_bytes;
+    // Phase 3: persist the segment straight from the staging buffer (no
+    // second copy), extend the digest chain, checkpoint.
+    std::string_view segment_bytes;
     if (cfg.field == RankField::kGf2 && !gf2_new_seg.empty()) {
-      segment_bytes.assign(reinterpret_cast<const char*>(gf2_new_seg.data()),
-                           gf2_new_seg.size() * sizeof(std::uint64_t));
+      segment_bytes = {reinterpret_cast<const char*>(gf2_new_seg.data()),
+                       gf2_new_seg.size() * sizeof(std::uint64_t)};
     } else if (cfg.field == RankField::kModp && !modp_new_seg.empty()) {
-      segment_bytes.assign(reinterpret_cast<const char*>(modp_new_seg.data()),
-                           modp_new_seg.size() * sizeof(std::uint32_t));
+      segment_bytes = {reinterpret_cast<const char*>(modp_new_seg.data()),
+                       modp_new_seg.size() * sizeof(std::uint32_t)};
     }
     const std::uint64_t seg_digest = store->append_segment(t, segment_bytes);
     for (const std::uint64_t c : new_cols) pivot_cols.push_back(c);
@@ -718,9 +775,8 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
       write_snapshot_atomic(ckpt_path, render_checkpoint(header, st));
     }
     ++report.tiles_run;
-    report.peak_resident_bytes =
-        std::max(report.peak_resident_bytes,
-                 fixed_bytes + chunk_rows * row_bytes + store->resident_bytes());
+    report.peak_resident_bytes = std::max(report.peak_resident_bytes,
+                                          fixed_bytes + chunk_bytes + store->resident_bytes());
     if (cfg.progress) cfg.progress(st.tiles_done, tiles_total, st.rank);
     if (cfg.inter_tile_delay_ns > 0) {
       std::this_thread::sleep_for(std::chrono::nanoseconds(cfg.inter_tile_delay_ns));

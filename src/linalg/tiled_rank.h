@@ -15,18 +15,28 @@
 //        the tile is identical at any BCCLB_THREADS.
 //     2. reduce the tile against every pivot row discovered by earlier
 //        tiles. Pivots stream through a bounded chunk buffer (sized from
-//        the memory budget) in global insertion order, applied in batches
-//        of 8 with a triangular in-batch solve:
-//          GF(2)  — four-Russians: one 256-entry XOR-combination table per
-//                   batch clears 8 pivots per row with one table lookup;
+//        the memory budget, never more than one segment) in global
+//        insertion order, applied in batches of 8 with a triangular
+//        in-batch solve:
+//          GF(2)  — four-Russians: a 256-entry XOR-combination table per
+//                   batch (built by each worker that owns >= 64 rows)
+//                   clears 8 pivots per row with one table lookup;
 //          mod p  — one u64 multiply-accumulate sweep per batch and a
 //                   single % p per entry per 8 pivots (8 * (2^30)^2 fits
-//                   u64). Field arithmetic is exact, so the result is
-//                   independent of batching, chunking, and thread count.
+//                   u64).
+//        Before a chunk is read, the tile rows nonzero at any of its pivot
+//        columns are collected; every other row solves to all-zero
+//        coefficients for the whole chunk, so it is left alone, and a
+//        chunk no row touches is skipped without being read. The active
+//        rows are split across threads once per chunk, and each worker
+//        runs the chunk's batches in order over its own rows. Each batch's
+//        column sweep starts at its smallest pivot lead (pivot rows are
+//        zero before their lead). Field arithmetic is exact, so the result
+//        is independent of batching, chunking, skipping, and thread count.
 //     3. in-tile insertion: surviving rows become new pivots (normalized so
 //        the pivot entry is 1), appended in row order — the classic rank-
 //        by-insertion argument makes the pivot set and rank independent of
-//        the tiling.
+//        the tiling. Insertion and normalization also sweep from the lead.
 //     4. the tile's new pivot rows are persisted as one segment (disk when
 //        a directory is configured, RAM otherwise) and the checkpoint is
 //        atomically rewritten (bcc/checkpoint.h): header, tiles-done, rank,
@@ -37,10 +47,10 @@
 //        uninterrupted run.
 //
 // Peak matrix residency is tile_rows x row-width (working tile) plus the
-// bounded pivot chunk — dense M_n never exists. The memory budget
-// (BCCLB_MEM_BUDGET / --mem-budget) shrinks the chunk buffer first and
-// refuses, with a typed ResourceBudgetError naming budget and footprint,
-// only when the tile alone cannot fit.
+// bounded pivot chunk (at most tile_rows rows) — dense M_n never exists.
+// The memory budget (BCCLB_MEM_BUDGET / --mem-budget) shrinks the chunk
+// buffer first and refuses, with a typed ResourceBudgetError naming budget
+// and footprint, only when the tile alone cannot fit.
 #pragma once
 
 #include <csignal>
@@ -119,6 +129,10 @@ struct TiledRankReport {
   std::size_t tiles_run = 0;       // tiles eliminated by this invocation
   std::size_t tiles_resumed = 0;   // tiles restored from the checkpoint
   std::uint64_t peak_resident_bytes = 0;  // tile + chunk + scratch high-water mark
+  // Pivot chunks this invocation visited: read and applied, or skipped
+  // because no row of the tile was nonzero at any of their pivot columns.
+  std::size_t segments_read = 0;
+  std::size_t segments_skipped = 0;
 };
 
 // Runs (or resumes) the tiled elimination described above. Throws

@@ -144,6 +144,73 @@ TEST(TiledRank, ThreadCountDoesNotChangeCertificate) {
   EXPECT_TRUE(one.full_rank);
 }
 
+// Certificates computed before the chunk-skipping elimination landed; any
+// change to tiling, skipping, batching or threading must reproduce them.
+TEST(TiledRank, PinnedCertificates) {
+  struct Pin {
+    std::size_t n;
+    RankField field;
+    std::size_t tile_rows;
+    const char* certificate;
+  };
+  const Pin pins[] = {
+      {8, RankField::kModp, 32, "e6b8d08274a74e8c"},
+      {8, RankField::kGf2, 32, "d59cc3adb0aeed48"},
+      {7, RankField::kModp, 64, "570c1d66a6d310c3"},
+      {7, RankField::kGf2, 64, "e7ccd4bb303ddf0d"},
+  };
+  for (const Pin& pin : pins) {
+    TiledRankConfig cfg = base_config(pin.n, pin.field, pin.tile_rows);
+    cfg.threads = 0;
+    const TiledRankReport report = tiled_partition_rank(cfg);
+    EXPECT_TRUE(report.complete);
+    EXPECT_EQ(report.certificate_digest, pin.certificate)
+        << "n=" << pin.n << " field=" << rank_field_name(pin.field);
+  }
+
+  TiledRankConfig cfg = base_config(7, RankField::kModp, 64);
+  for (unsigned threads : {1u, 2u, 8u}) {
+    cfg.threads = threads;
+    EXPECT_EQ(tiled_partition_rank(cfg).certificate_digest, "570c1d66a6d310c3")
+        << "threads=" << threads;
+  }
+  // 600000 bytes leaves room for 40-row chunks: each 64-row segment streams
+  // as two chunks, so the skip check runs per sub-segment chunk.
+  cfg.threads = 2;
+  cfg.mem_budget_bytes = 600000;
+  EXPECT_EQ(tiled_partition_rank(cfg).certificate_digest, "570c1d66a6d310c3");
+}
+
+TEST(TiledRank, SkipsChunksNoTileRowTouches) {
+  // M_7 is full rank mod p, so each of the 14 tiles of 64 rows leaves a
+  // non-empty segment, and tile t visits one chunk per earlier segment.
+  TiledRankConfig cfg = base_config(7, RankField::kModp, 64);
+  const TiledRankReport whole = tiled_partition_rank(cfg);
+  ASSERT_EQ(whole.tiles_total, 14u);
+  EXPECT_GT(whole.segments_skipped, 0u);
+  EXPECT_EQ(whole.segments_read + whole.segments_skipped, 14u * 13u / 2u);
+
+  // 40-row chunks split every 64-row segment in two.
+  cfg.mem_budget_bytes = 600000;
+  const TiledRankReport split = tiled_partition_rank(cfg);
+  EXPECT_GT(split.segments_skipped, 0u);
+  EXPECT_EQ(split.segments_read + split.segments_skipped, 2u * 14u * 13u / 2u);
+}
+
+TEST(TiledRank, PeakResidentCountsOneSegmentOfChunk) {
+  // With a directory the pivots live on disk; resident memory is the packed
+  // tile bits, the u32 working tile, the staging buffer for new pivots, and
+  // a chunk that never exceeds one segment (<= tile_rows rows).
+  TiledRankConfig cfg = base_config(7, RankField::kModp, 64);
+  cfg.dir = test_dir();
+  const TiledRankReport report = tiled_partition_rank(cfg);
+  const std::size_t dimension = bell_number_u64(7);
+  const std::size_t tile_bits = cfg.tile_rows * ((dimension + 63) / 64) * sizeof(std::uint64_t);
+  const std::size_t rows_bytes = cfg.tile_rows * dimension * sizeof(std::uint32_t);
+  EXPECT_TRUE(report.full_rank);
+  EXPECT_LE(report.peak_resident_bytes, tile_bits + 3 * rows_bytes);
+}
+
 TEST(TiledRank, TileShapeDoesNotChangeRank) {
   std::size_t expect = bell_number_u64(6);  // 203
   for (const std::size_t tile_rows : {1ul, 7ul, 64ul, 203ul, 512ul}) {

@@ -297,9 +297,11 @@ int cmd_rank_tiled(int argc, char** argv) {
                 config.tile_rows, report.tiles_total, report.rank,
                 report.full_rank ? "yes" : "no", report.certificate_digest.c_str());
   std::fputs(certificate, stdout);
-  std::printf("tiles run %zu, resumed %zu; peak resident %.1f MiB; wall %.3f s\n",
-              report.tiles_run, report.tiles_resumed,
-              static_cast<double>(report.peak_resident_bytes) / (1024.0 * 1024.0), wall_s);
+  std::printf(
+      "tiles run %zu, resumed %zu; segments read %zu, skipped %zu; peak resident %.1f MiB; "
+      "wall %.3f s\n",
+      report.tiles_run, report.tiles_resumed, report.segments_read, report.segments_skipped,
+      static_cast<double>(report.peak_resident_bytes) / (1024.0 * 1024.0), wall_s);
   if (!config.dir.empty()) {
     const std::string path = config.dir + "/rank.txt";
     write_file_atomic(path, certificate);
