@@ -7,7 +7,6 @@
 #include <bit>
 
 #include "bcc_lb.h"
-#include "linalg/gf2_matrix.h"
 #include "partition/join_matrix.h"
 #include "crossing/instance_counts.h"
 #include "partition/moebius.h"
@@ -108,7 +107,9 @@ void BM_Gf2Rank(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const BoolMatrix m = partition_join_matrix(n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Gf2Matrix::from_bool_matrix(m).rank());
+    const std::vector<std::uint64_t> bits = m.packed_rows();
+    benchmark::DoNotOptimize(
+        packed_rank(m.rows, m.cols, (m.cols + 63) / 64, bits.data(), RankField::kGf2, 0));
   }
 }
 BENCHMARK(BM_Gf2Rank)->Arg(5)->Arg(6)->Arg(7)->Arg(8)->Unit(benchmark::kMillisecond);

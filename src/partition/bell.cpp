@@ -105,4 +105,11 @@ std::uint64_t bell_number_u64(std::size_t n) {
 
 const BigUint& stirling2(std::size_t n, std::size_t k) { return stirling_cache().get(n, k); }
 
+std::uint64_t predicted_join_rank(std::size_t n, std::uint64_t p) {
+  BCCLB_REQUIRE(n >= 1 && n <= 25, "predicted_join_rank needs 1 <= n <= 25");
+  BigUint rank;
+  for (std::size_t k = 1; k <= n && k <= p; ++k) rank += stirling2(n, k);
+  return rank.to_u64();
+}
+
 }  // namespace bcclb

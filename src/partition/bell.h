@@ -27,4 +27,13 @@ std::uint64_t bell_number_u64(std::size_t n);
 // exactly k blocks. Used by the uniform partition sampler.
 const BigUint& stirling2(std::size_t n, std::size_t k);
 
+// Rank of the join matrix M_n over GF(p), p prime (p = 2 is GF(2)):
+// sum_{k=1}^{min(p, n)} S(n, k). M_n = Z D Z^T with Z(x, z) = [x <= z]
+// unitriangular and D = diag(mu(z, 1)), mu(z, 1) = (-1)^{k-1} (k-1)! for z
+// with k blocks, which is zero mod p exactly when k > p. So GF(2) gives
+// 2^{n-1} and any p >= n gives B_n (Theorem 2.3). The independent oracle
+// for the elimination kernel (linalg/tiled_rank.h). Requires
+// 1 <= n <= 25.
+std::uint64_t predicted_join_rank(std::size_t n, std::uint64_t p);
+
 }  // namespace bcclb

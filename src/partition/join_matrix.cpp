@@ -1,5 +1,6 @@
 #include "partition/join_matrix.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/check.h"
@@ -10,6 +11,23 @@
 #include "partition/pair_partition.h"
 
 namespace bcclb {
+
+std::vector<std::uint64_t> BoolMatrix::packed_rows() const {
+  const std::size_t words = (cols + 63) / 64;
+  std::vector<std::uint64_t> bits(rows * words, 0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::uint8_t* row = data.data() + r * cols;
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::size_t end = std::min(cols, w * 64 + 64);
+      std::uint64_t word = 0;
+      for (std::size_t c = w * 64; c < end; ++c) {
+        word |= static_cast<std::uint64_t>(row[c] != 0) << (c % 64);
+      }
+      bits[r * words + w] = word;
+    }
+  }
+  return bits;
+}
 
 namespace {
 

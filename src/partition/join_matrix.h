@@ -20,6 +20,10 @@ struct BoolMatrix {
 
   std::uint8_t at(std::size_t r, std::size_t c) const { return data[r * cols + c]; }
   std::uint8_t& at(std::size_t r, std::size_t c) { return data[r * cols + c]; }
+
+  // Rows bit-packed 64 columns per word, (cols + 63) / 64 words per row:
+  // the input layout of packed_rank (linalg/tiled_rank.h).
+  std::vector<std::uint64_t> packed_rows() const;
 };
 
 // M_n over all partitions of [n] in RGS-lexicographic order.

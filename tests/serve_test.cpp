@@ -422,7 +422,7 @@ TEST(Handlers, RankTileMatchesTheTiledEngineAndThreadWidths) {
   EXPECT_NE(serial.find(digest_hex(tile.digest)), std::string::npos);
   EXPECT_NE(serial.find("rows = [64, 128) of 203"), std::string::npos);
 
-  // A whole-matrix "tile" of M_6 reproduces the dense ranks: full B_6 = 203
+  // A whole-matrix "tile" of M_6 reproduces the predicted ranks: full B_6 = 203
   // over mod p, 2^5 = 32 over GF(2).
   const std::string whole_p = compute_artifact(rank_tile_request('p', 6, 203, 0), 1);
   EXPECT_NE(whole_p.find("tile rank = 203 / 203"), std::string::npos);
@@ -732,6 +732,13 @@ TEST(ServeServer, ConcurrentIdenticalRequestsCoalesceIntoOneBuild) {
   client.send_frame(request);
   hold.wait_until_held();
   for (int i = 0; i < 4; ++i) client.send_frame(request);
+  // Release only once the I/O thread has queued all five, so they share the
+  // held batch; a frame admitted after the release would be a memory hit.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (running.server().render_stats().find("requests admitted = 5\n") == std::string::npos &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   hold.release();
 
   std::vector<Response> responses;

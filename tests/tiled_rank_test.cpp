@@ -1,5 +1,6 @@
 // Out-of-core tiled rank (linalg/tiled_rank.h): tile generation vs the dense
-// join matrix, tiled rank vs the dense eliminators, thread/tiling
+// join matrix, tiled and packed rank vs the Stirling-sum prediction and the
+// schoolbook eliminations, thread/tiling
 // invariance, checkpointed kill-free resume identity, corruption detection,
 // and memory-budget behaviour.
 
@@ -13,9 +14,9 @@
 
 #include "bcc/checkpoint.h"
 #include "common/errors.h"
-#include "linalg/gf2_matrix.h"
 #include "partition/bell.h"
 #include "partition/join_matrix.h"
+#include "schoolbook_rank.h"
 
 namespace bcclb {
 namespace {
@@ -85,38 +86,61 @@ TEST(JoinTileRank, MatchesDenseRankOfTheSameRows) {
   for (std::size_t r = 0; r < sub.rows; ++r) {
     for (std::size_t c = 0; c < sub.cols; ++c) sub.at(r, c) = dense.at(50 + r, c);
   }
-  EXPECT_EQ(join_tile_rank(tile, RankField::kGf2, 0),
-            Gf2Matrix::from_bool_matrix(sub).rank());
+  EXPECT_EQ(join_tile_rank(tile, RankField::kGf2, 0), schoolbook_gf2_rank(sub));
   EXPECT_EQ(join_tile_rank(tile, RankField::kModp, kPrime30A),
-            ModpMatrix::from_bool_matrix(sub, kPrime30A).rank());
+            schoolbook_modp_rank(sub, kPrime30A));
 }
 
-TEST(TiledRank, Gf2MatchesDenseUpToM8) {
+TEST(TiledRank, Gf2MatchesStirlingPredictionUpToM8) {
   // GF(2) rank of M_n is 2^{n-1} (rank-deficient — why the certificate rests
-  // on mod p); tiled elimination must agree with the dense four-Russians
-  // path exactly.
+  // on mod p).
   for (std::size_t n = 1; n <= 8; ++n) {
-    const std::size_t dense_rank = Gf2Matrix::from_bool_matrix(partition_join_matrix(n)).rank();
     const TiledRankReport report = tiled_partition_rank(base_config(n, RankField::kGf2, 97));
     EXPECT_TRUE(report.complete);
-    EXPECT_EQ(report.rank, dense_rank) << "n=" << n;
+    EXPECT_EQ(report.rank, predicted_join_rank(n, 2)) << "n=" << n;
     EXPECT_EQ(report.rank, std::size_t{1} << (n - 1)) << "n=" << n;
     EXPECT_EQ(report.dimension, bell_number_u64(n));
   }
 }
 
-TEST(TiledRank, ModpMatchesDenseUpToM7) {
+TEST(TiledRank, ModpMatchesStirlingPredictionUpToM7) {
   for (std::size_t n = 1; n <= 7; ++n) {
-    const std::size_t dense_rank =
-        ModpMatrix::from_bool_matrix(partition_join_matrix(n), kPrime30A).rank();
     const TiledRankReport report = tiled_partition_rank(base_config(n, RankField::kModp, 128));
     EXPECT_TRUE(report.complete);
-    EXPECT_EQ(report.rank, dense_rank) << "n=" << n;
+    EXPECT_EQ(report.rank, predicted_join_rank(n, kPrime30A)) << "n=" << n;
     // Theorem 2.3: M_n is full rank over Q, and these primes do not divide
     // the determinantal divisors.
     EXPECT_TRUE(report.full_rank) << "n=" << n;
     EXPECT_EQ(report.rank, bell_number_u64(n));
   }
+}
+
+// The rank of M_n over GF(p) is sum_{k <= min(p, n)} S(n, k) (partition/
+// bell.h). Small primes make every field lose rank somewhere, so this pins
+// each pivot of both kernels, out of core and in memory.
+TEST(TiledRank, EveryFieldMatchesStirlingPrediction) {
+  for (std::size_t n = 1; n <= 7; ++n) {
+    const JoinTile whole = generate_join_tile(n, 0, bell_number_u64(n), 1);
+    for (std::uint64_t p : {2u, 3u, 5u, 7u, 11u}) {
+      const std::size_t predicted = predicted_join_rank(n, p);
+      std::vector<RankField> fields = {RankField::kModp};
+      if (p == 2) fields.push_back(RankField::kGf2);
+      for (RankField field : fields) {
+        TiledRankConfig cfg = base_config(n, field, 97);
+        cfg.prime = p;
+        EXPECT_EQ(tiled_partition_rank(cfg).rank, predicted)
+            << "tiled n=" << n << " p=" << p << " " << rank_field_name(field);
+        EXPECT_EQ(packed_rank(whole.rows, whole.cols, whole.words_per_row, whole.bits.data(),
+                              field, p),
+                  predicted)
+            << "packed n=" << n << " p=" << p << " " << rank_field_name(field);
+      }
+    }
+  }
+  // M_7: 64, 365, 855, 877, 877.
+  const std::size_t m7[] = {64, 365, 855, 877, 877};
+  const std::uint64_t primes[] = {2, 3, 5, 7, 11};
+  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(predicted_join_rank(7, primes[i]), m7[i]);
 }
 
 TEST(TiledRank, BothPrimesAgree) {
