@@ -10,17 +10,25 @@ namespace bcclb {
 ArtifactCache::ArtifactCache(std::uint64_t budget_bytes) : budget_bytes_(budget_bytes) {}
 
 std::optional<std::string> ArtifactCache::lookup(std::uint64_t key) {
+  return find(key, /*count_miss=*/true);
+}
+
+std::optional<std::string> ArtifactCache::lookup_hit(std::uint64_t key) {
+  return find(key, /*count_miss=*/false);
+}
+
+std::optional<std::string> ArtifactCache::find(std::uint64_t key, bool count_miss) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
-    ++misses_;
+    if (count_miss) ++misses_;
     return std::nullopt;
   }
   if (fnv1a(it->second.artifact) != it->second.digest) {
     // The bytes rotted since insert. Serving them would hand the client a
     // wrong artifact under a correct key; drop and rebuild instead.
     ++verify_failures_;
-    ++misses_;
+    if (count_miss) ++misses_;
     evict_locked(it);
     return std::nullopt;
   }

@@ -10,8 +10,8 @@
 // dropped and recounted as a miss rather than served, so bit rot degrades to
 // a rebuild, never to a wrong answer.
 //
-// Thread-safe; the serving scheduler is the main writer but the stats probe
-// reads counters from the I/O thread.
+// Thread-safe: the daemon's I/O thread looks up memory-tier hits, its
+// scheduler looks up, inserts and evicts, and the stats probe reads counters.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +51,12 @@ class ArtifactCache {
   // reported as a miss.
   std::optional<std::string> lookup(std::uint64_t key);
 
+  // lookup() for a first look whose miss is not the request's final answer:
+  // hits and verify failures are counted as lookup() counts them, but a miss
+  // is not, because the caller hands the request on to a lookup() that
+  // counts it. Each request then counts once, as a hit or as a miss.
+  std::optional<std::string> lookup_hit(std::uint64_t key);
+
   // Inserts (or refreshes) an entry, evicting LRU entries until the budget
   // holds. An artifact alone larger than the whole budget is not cached.
   void insert(std::uint64_t key, std::string artifact);
@@ -69,6 +75,7 @@ class ArtifactCache {
     std::list<std::uint64_t>::iterator lru_it;
   };
 
+  std::optional<std::string> find(std::uint64_t key, bool count_miss);
   void evict_locked(std::unordered_map<std::uint64_t, Entry>::iterator it);
 
   mutable std::mutex mutex_;

@@ -79,10 +79,7 @@ bool ServeFaultInjector::should_crash_before_reply() {
 std::uint64_t ServeFaultInjector::stall_for_response() {
   if (plan_.stall_every == 0 || plan_.stall_ms == 0) return 0;
   std::lock_guard<std::mutex> lock(mutex_);
-  // crash-after and stall share the scheduled-response ordinal only when the
-  // crash fault is off; with both on, crash wins long before a stall matters.
-  if (plan_.crash_after == 0) ++responses_;
-  if (responses_ % plan_.stall_every != 0) return 0;
+  if (++scheduled_responses_ % plan_.stall_every != 0) return 0;
   ++stalls_injected_;
   return plan_.stall_ms;
 }

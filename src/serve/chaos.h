@@ -17,14 +17,20 @@
 // Keys (0 disables each fault; all default 0):
 //   seed                   — byte/mask selection seed
 //   crash-after=N          — _Exit(137) immediately before writing the N-th
-//                            scheduled response (crash-before-reply): the
+//                            answered request, scheduled or a memory-tier
+//                            hit served inline (crash-before-reply): the
 //                            work was done, the client never hears — the
 //                            SIGKILL shape the durable tier must absorb
-//   stall-every=K          — every K-th scheduled response sleeps stall-ms
+//   stall-every=K          — every K-th scheduled response sleeps stall-ms on
+//                            the scheduler thread. Stalls apply to scheduled
+//                            responses only: a memory-tier hit answered by
+//                            the I/O thread never stalls and does not advance
+//                            the stall ordinal, so health probes keep working
 //   stall-ms=M             — the stall duration (needs stall-every)
-//   corrupt-response-every=K — every K-th OK response has one artifact byte
-//                            XOR-flipped *after* the digest was computed, so
-//                            clients must catch it by digest verification
+//   corrupt-response-every=K — every K-th OK response, scheduled or inline,
+//                            has one artifact byte XOR-flipped *after* the
+//                            digest was computed, so clients must catch it by
+//                            digest verification
 //   corrupt-disk-every=K   — every K-th disk-tier write is bit-flipped in
 //                            place after landing (injected bit rot; the read
 //                            path must quarantine, never serve)
@@ -67,19 +73,20 @@ std::optional<ServeFaultPlan> serve_fault_plan_from_env();
 
 // The compiled, counting form the server holds: each should_* call advances
 // the matching ordinal, so injection is a pure function of the plan and the
-// sequence of calls. Thread-safe via per-counter atomics (the scheduler
-// thread is the caller; the stats probe reads the tallies).
+// sequence of calls. Thread-safe under one mutex: the scheduler and the I/O
+// thread (inline hits) both call it, and the stats probe reads the tallies.
 class ServeFaultInjector {
  public:
   explicit ServeFaultInjector(const ServeFaultPlan& plan) : plan_(plan) {}
 
   const ServeFaultPlan& plan() const { return plan_; }
 
-  // True exactly once: when the crash-after-th scheduled response is about
+  // True exactly once: when the crash-after-th answered request is about
   // to be delivered. The caller is expected to _Exit and never return.
   bool should_crash_before_reply();
 
-  // Milliseconds to stall this scheduled response (0 = none).
+  // Milliseconds to stall this scheduled response (0 = none). Only the
+  // scheduler calls it; inline hits never stall.
   std::uint64_t stall_for_response();
 
   // If this OK response must be corrupted, picks the byte index in
@@ -97,7 +104,8 @@ class ServeFaultInjector {
 
  private:
   ServeFaultPlan plan_;
-  std::uint64_t responses_ = 0;  // scheduled responses seen (crash/stall ordinal)
+  std::uint64_t responses_ = 0;            // answered requests (crash ordinal)
+  std::uint64_t scheduled_responses_ = 0;  // scheduled responses (stall ordinal)
   std::uint64_t ok_responses_ = 0;
   std::uint64_t disk_writes_ = 0;
   std::uint64_t stalls_injected_ = 0;

@@ -212,6 +212,8 @@ void ServeServer::process_batch(std::vector<PendingRequest>& batch) {
   std::vector<std::size_t> miss_indices;
   std::vector<std::uint64_t> miss_keys;
   for (std::size_t i = 0; i < count; ++i) {
+    // The counting lookup: a request the I/O thread looked up first had its
+    // miss left uncounted for this one, and a build may have landed since.
     if (auto hit = cache_.lookup(batch[i].key)) {
       artifacts[i] = std::move(*hit);
       sources[i] = CacheSource::kHit;
@@ -280,32 +282,46 @@ void ServeServer::process_batch(std::vector<PendingRequest>& batch) {
   for (std::size_t i = 0; i < count; ++i) {
     std::string frame;
     if (error_codes[i] == StatusCode::kOk) {
-      responses_ok_.fetch_add(1, std::memory_order_relaxed);
-      frame = encode_ok_frame(batch[i].request.type, sources[i], fnv1a(artifacts[i]),
-                              artifacts[i]);
-      // Chaos: flip one byte of the on-wire artifact *after* the digest was
-      // computed — clients must catch this by digest verification, and the
-      // cached/stored copies stay pristine.
-      std::size_t byte_index = 0;
-      unsigned char mask = 0;
-      if (chaos_.corrupt_response(artifacts[i].size(), byte_index, mask)) {
-        frame[kFrameHeaderBytes + 16 + byte_index] =
-            static_cast<char>(static_cast<unsigned char>(frame[kFrameHeaderBytes + 16 + byte_index]) ^ mask);
-      }
+      frame = ok_frame(batch[i].request.type, sources[i], artifacts[i]);
     } else {
       compute_failed_.fetch_add(1, std::memory_order_relaxed);
       frame = encode_error_frame(batch[i].request.type, error_codes[i], errors[i]);
+      crash_point();
     }
-    if (chaos_.should_crash_before_reply()) {
-      // Crash-before-reply: the work is done (and durable, if a store is
-      // configured) but the client never hears. _Exit skips every
-      // destructor and flush — the closest in-process stand-in for SIGKILL.
-      std::_Exit(137);
-    }
+    // Stalls are a scheduler-side fault: an inline hit never sleeps the I/O
+    // thread, which also answers the health probes.
     if (const std::uint64_t stall = chaos_.stall_for_response()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(stall));
     }
     push_response(batch[i].conn_id, std::move(frame));
+  }
+}
+
+// Every OK frame, from an inline hit or from the scheduler, is finished here,
+// so both paths count, corrupt and crash identically.
+std::string ServeServer::ok_frame(RequestType type, CacheSource source,
+                                  const std::string& artifact) {
+  responses_ok_.fetch_add(1, std::memory_order_relaxed);
+  std::string frame = encode_ok_frame(type, source, fnv1a(artifact), artifact);
+  // Chaos: flip one byte of the on-wire artifact *after* the digest was
+  // computed — clients must catch this by digest verification, and the
+  // cached/stored copies stay pristine.
+  std::size_t byte_index = 0;
+  unsigned char mask = 0;
+  if (chaos_.corrupt_response(artifact.size(), byte_index, mask)) {
+    char& byte = frame[kFrameHeaderBytes + 16 + byte_index];
+    byte = static_cast<char>(static_cast<unsigned char>(byte) ^ mask);
+  }
+  crash_point();
+  return frame;
+}
+
+void ServeServer::crash_point() {
+  if (chaos_.should_crash_before_reply()) {
+    // Crash-before-reply: the work is done (and durable, if a store is
+    // configured) but the client never hears. _Exit skips every
+    // destructor and flush — the closest in-process stand-in for SIGKILL.
+    std::_Exit(137);
   }
 }
 
@@ -328,6 +344,7 @@ void ServeServer::drain_completions() {
     const auto it = conns_.find(response.conn_id);
     if (it == conns_.end()) continue;  // client went away; drop the bytes
     it->second.outbuf += response.frame;
+    --it->second.queued;
   }
 }
 
@@ -359,16 +376,30 @@ void ServeServer::handle_frame(std::uint64_t conn_id, Connection& conn,
     return;
   }
 
+  const std::uint64_t key = request_cache_key(request);
+  // A memory-tier hit is answered here, in this poll pass, unless an earlier
+  // request on this connection is still queued: responses keep request
+  // order. A miss goes on to the scheduler, whose lookup counts it (a build
+  // may land in between) and which owns disk reads, coalescing and builds.
+  if (conn.queued == 0) {
+    if (const auto hit = cache_.lookup_hit(key)) {
+      requests_admitted_.fetch_add(1, std::memory_order_relaxed);
+      conn.outbuf += ok_frame(type, CacheSource::kHit, *hit);
+      return;
+    }
+  }
+
   bool admitted = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (queue_.size() < config_.queue_capacity) {
-      queue_.push_back(PendingRequest{conn_id, request, request_cache_key(request)});
+      queue_.push_back(PendingRequest{conn_id, request, key});
       admitted = true;
     }
   }
   if (admitted) {
     requests_admitted_.fetch_add(1, std::memory_order_relaxed);
+    ++conn.queued;
     cv_.notify_one();
   } else {
     // Typed backpressure: the connection survives, the client hears exactly
@@ -382,6 +413,8 @@ void ServeServer::handle_frame(std::uint64_t conn_id, Connection& conn,
 
 void ServeServer::parse_inbuf(std::uint64_t conn_id, Connection& conn) {
   for (;;) {
+    // Over the unsent bound the rest of the input waits for a flush.
+    if (conn.unsent() > kMaxUnsentBytes) return;
     if (conn.discard > 0) {
       const std::size_t take = std::min(conn.discard, conn.inbuf.size());
       conn.inbuf.erase(0, take);
@@ -421,6 +454,30 @@ void ServeServer::parse_inbuf(std::uint64_t conn_id, Connection& conn) {
     handle_frame(conn_id, conn, header, payload);
     conn.inbuf.erase(0, kFrameHeaderBytes + header.payload_len);
   }
+}
+
+bool ServeServer::flush(Connection& conn) {
+  while (conn.unsent() > 0) {
+    const ssize_t w = ::send(conn.fd, conn.outbuf.data() + conn.outpos, conn.unsent(),
+                             MSG_NOSIGNAL);
+    if (w > 0) {
+      conn.outpos += static_cast<std::size_t>(w);
+    } else if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      break;
+    } else {
+      return false;
+    }
+  }
+  if (conn.unsent() == 0) {
+    conn.outbuf.clear();
+    conn.outpos = 0;
+  } else if (conn.outpos >= kMaxUnsentBytes) {
+    // A reader that keeps up only partly never empties outbuf; drop the
+    // sent prefix so the buffer stays near the bound.
+    conn.outbuf.erase(0, conn.outpos);
+    conn.outpos = 0;
+  }
+  return true;
 }
 
 void ServeServer::accept_ready() {
@@ -469,8 +526,9 @@ ServeStats ServeServer::run() {
     const std::size_t listen_slots = fds.size();
     fds.push_back(pollfd{wake_r_, POLLIN, 0});
     for (const auto& [id, conn] : conns_) {
-      short events = POLLIN;
-      if (conn.outpos < conn.outbuf.size()) events |= POLLOUT;
+      // Over the unsent bound, stop reading until the client drains.
+      short events = conn.unsent() > kMaxUnsentBytes ? 0 : POLLIN;
+      if (conn.unsent() > 0) events |= POLLOUT;
       fds.push_back(pollfd{conn.fd, events, 0});
       ids.push_back(id);
     }
@@ -484,6 +542,8 @@ ServeStats ServeServer::run() {
       while (::read(wake_r_, scratch, sizeof scratch) > 0) {
       }
     }
+    // Before the connection pass, so finished builds go out in this pass.
+    drain_completions();
 
     std::vector<std::uint64_t> to_close;
     for (std::size_t c = 0; c < ids.size(); ++c) {
@@ -497,53 +557,31 @@ ServeStats ServeServer::run() {
       }
       if ((pfd.revents & (POLLIN | POLLHUP)) != 0) {
         char buf[65536];
-        bool closed = false;
         for (;;) {
           const ssize_t r = ::recv(conn.fd, buf, sizeof buf, 0);
           if (r > 0) {
             conn.inbuf.append(buf, static_cast<std::size_t>(r));
             continue;
           }
-          if (r == 0) closed = true;
-          break;  // r < 0: EAGAIN (done) or a real error surfaced at write
+          if (r == 0) conn.close_after_flush = true;  // peer is done sending
+          break;  // r < 0: EAGAIN (done) or a real error surfaced at send
         }
+      }
+      // Parse and send until the input is used up or the socket is full:
+      // parsing stops at the unsent bound, and a send can lift it again.
+      bool dead = false;
+      for (;;) {
         parse_inbuf(ids[c], conn);
-        if (closed && conn.outpos >= conn.outbuf.size()) {
-          to_close.push_back(ids[c]);
-          continue;
+        const bool stopped = conn.unsent() > kMaxUnsentBytes;
+        if (!flush(conn)) {
+          dead = true;
+          break;
         }
-        if (closed) conn.close_after_flush = true;
+        if (!stopped || conn.unsent() > kMaxUnsentBytes) break;
       }
-      if (conn.outpos < conn.outbuf.size()) {
-        bool dead = false;
-        while (conn.outpos < conn.outbuf.size()) {
-          const ssize_t w = ::send(conn.fd, conn.outbuf.data() + conn.outpos,
-                                   conn.outbuf.size() - conn.outpos, MSG_NOSIGNAL);
-          if (w > 0) {
-            conn.outpos += static_cast<std::size_t>(w);
-          } else if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            break;
-          } else {
-            dead = true;
-            break;
-          }
-        }
-        if (dead) {
-          to_close.push_back(ids[c]);
-          continue;
-        }
-        if (conn.outpos >= conn.outbuf.size()) {
-          conn.outbuf.clear();
-          conn.outpos = 0;
-          if (conn.close_after_flush) to_close.push_back(ids[c]);
-        }
-      } else if (conn.close_after_flush) {
-        to_close.push_back(ids[c]);
-      }
+      if (dead || (conn.close_after_flush && conn.unsent() == 0)) to_close.push_back(ids[c]);
     }
     for (const std::uint64_t id : to_close) close_connection(id);
-
-    drain_completions();
 
     if (drained_entered && scheduler_done_.load(std::memory_order_relaxed)) {
       bool pending = false;
@@ -553,7 +591,7 @@ ServeStats ServeServer::run() {
       }
       if (!pending) {
         for (const auto& [id, conn] : conns_) {
-          if (conn.outpos < conn.outbuf.size()) {
+          if (conn.unsent() > 0) {
             pending = true;
             break;
           }

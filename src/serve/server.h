@@ -2,14 +2,16 @@
 //
 // Architecture (DESIGN.md §6):
 //
-//   I/O thread (run())            scheduler thread
-//   ─────────────────             ────────────────
-//   poll() accept/read/write      waits on the admission queue
-//   parse frames                  drains it in FIFO batches
-//   admit -> bounded queue   ->   cache lookup (digest re-verified)
-//   overload -> QueueFull frame   misses coalesced by content key and
-//   stats probe served inline       fanned out through BatchRunner
-//   drain: stop accepting    <-   responses via completion queue + wake pipe
+//   I/O thread (run())              scheduler thread
+//   ─────────────────               ────────────────
+//   poll() accept/read/write        waits on the admission queue
+//   parse frames                    drains it in FIFO batches
+//   memory-tier hit (digest         cache lookup (digest re-verified),
+//     re-verified) answered inline    disk-tier reads
+//   else admit -> bounded queue ->  misses coalesced by content key and
+//   overload -> QueueFull frame       fanned out through BatchRunner
+//   stats probe served inline
+//   drain: stop accepting      <-   responses via completion queue + wake pipe
 //
 // The admission queue is the backpressure boundary: when it is full the I/O
 // thread answers with a typed QueueFull frame immediately — the connection
@@ -18,9 +20,18 @@
 // new requests with Draining frames, finishes everything already admitted,
 // flushes every response, and returns final stats; the CLI exits 0.
 //
-// Responses on one connection are delivered in request order; the stats
-// probe is the one out-of-band exception (served inline by the I/O thread so
-// health checks work even when the queue is saturated).
+// Responses on one connection are delivered in request order. The I/O thread
+// answers a memory-tier hit itself only while the connection's `queued`
+// count (requests admitted to the scheduler whose response has not yet
+// reached the connection) is zero; a frame behind a queued request takes the
+// scheduler path too. The out-of-band exceptions are the stats probe and the
+// typed rejections (QueueFull, Draining, ProtocolViolation, RequestTooLarge),
+// all answered at once so health checks and backpressure work even when the
+// queue is saturated.
+//
+// A connection with more than kMaxUnsentBytes of response bytes not yet sent
+// is neither read nor parsed until the client drains it, so a client that
+// pipelines hits and never reads cannot grow the daemon's memory.
 #pragma once
 
 #include <atomic>
@@ -78,7 +89,7 @@ struct ServeConfig {
 struct ServeStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_rejected = 0;  // over max_connections
-  std::uint64_t requests_admitted = 0;
+  std::uint64_t requests_admitted = 0;  // inline memory hits plus queued requests
   std::uint64_t responses_ok = 0;
   std::uint64_t compute_failed = 0;
   std::uint64_t queue_full = 0;
@@ -98,6 +109,9 @@ class ServeServer {
  public:
   explicit ServeServer(ServeConfig config);
   ~ServeServer();
+
+  // Per-connection bound on response bytes not yet sent (see the header).
+  static constexpr std::size_t kMaxUnsentBytes = std::size_t{1} << 20;
 
   ServeServer(const ServeServer&) = delete;
   ServeServer& operator=(const ServeServer&) = delete;
@@ -132,7 +146,10 @@ class ServeServer {
     std::string outbuf;
     std::size_t outpos = 0;
     std::size_t discard = 0;  // oversized payload bytes still to skip
+    std::size_t queued = 0;   // admitted requests whose response is not in outbuf yet
     bool close_after_flush = false;
+
+    std::size_t unsent() const { return outbuf.size() - outpos; }
   };
 
   struct PendingRequest {
@@ -151,6 +168,10 @@ class ServeServer {
   void handle_frame(std::uint64_t conn_id, Connection& conn, const FrameHeader& header,
                     std::string_view payload);
   void parse_inbuf(std::uint64_t conn_id, Connection& conn);
+  // Sends what the socket takes; false when the peer is gone.
+  static bool flush(Connection& conn);
+  std::string ok_frame(RequestType type, CacheSource source, const std::string& artifact);
+  void crash_point();
   void push_response(std::uint64_t conn_id, std::string frame);
   void drain_completions();
   void accept_ready();

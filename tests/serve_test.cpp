@@ -23,6 +23,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <typeinfo>
@@ -110,15 +111,19 @@ std::uint64_t ring_word(std::uint32_t n) {
 }
 
 // A released-once latch for ServeConfig::test_hold: the first scheduler pass
-// blocks until release(); later passes fall straight through.
+// blocks until release(); later passes fall straight through. Clearing
+// `armed` first lets a test warm the cache through the scheduler before the
+// latch engages.
 struct SchedulerHold {
   std::mutex m;
   std::condition_variable cv;
   bool holding = false;
   bool released = false;
+  std::atomic<bool> armed{true};
 
   std::function<void()> hook() {
     return [this] {
+      if (!armed.load()) return;
       std::unique_lock<std::mutex> lock(m);
       holding = true;
       cv.notify_all();
@@ -135,6 +140,14 @@ struct SchedulerHold {
     cv.notify_all();
   }
 };
+
+// The value of one `name = value` line of a bccd stats artifact.
+std::uint64_t stat_value(const std::string& stats, const std::string& name) {
+  const std::string prefix = name + " = ";
+  const std::size_t at = stats.find("\n" + prefix);
+  if (at == std::string::npos) return 0;
+  return std::strtoull(stats.c_str() + at + 1 + prefix.size(), nullptr, 10);
+}
 
 // Binds, runs the I/O loop on a background thread, drains on destruction.
 class RunningServer {
@@ -757,6 +770,159 @@ TEST(ServeServer, ConcurrentIdenticalRequestsCoalesceIntoOneBuild) {
   EXPECT_EQ(stats.cache.entries, 1u);
 }
 
+TEST(ServeServer, MemoryHitAnsweredWhileSchedulerParked) {
+  SchedulerHold hold;
+  hold.armed = false;
+  ServeConfig config;
+  config.test_hold = hold.hook();
+  RunningServer running(std::move(config));
+  ServeClient a = running.connect();
+  ServeClient b = running.connect();
+  const Request cached = rank_request('M', 5);
+  ASSERT_EQ(b.request(cached).source, CacheSource::kCold);
+
+  // A's miss parks the scheduler; B's hit must not need it.
+  hold.armed = true;
+  a.send_frame(rank_request('M', 6));
+  hold.wait_until_held();
+  b.send_frame(cached);
+  std::optional<Response> hit;
+  try {
+    hit = b.read_response(/*deadline_ms=*/5000);
+  } catch (const ClientTimeoutError&) {
+  }
+  hold.release();
+  ASSERT_TRUE(hit.has_value()) << "the hit waited for the parked scheduler";
+  ASSERT_EQ(hit->status, StatusCode::kOk);
+  EXPECT_EQ(hit->source, CacheSource::kHit);
+  EXPECT_EQ(hit->digest, fnv1a(hit->artifact));
+  EXPECT_NE(hit->artifact.find("rank M_5"), std::string::npos);
+
+  const Response miss = a.read_response();
+  ASSERT_EQ(miss.status, StatusCode::kOk);
+  EXPECT_EQ(miss.source, CacheSource::kCold);
+  EXPECT_NE(miss.artifact.find("rank M_6"), std::string::npos);
+
+  const ServeStats stats = running.stop();
+  EXPECT_EQ(stats.cache.hits, 1u);
+  EXPECT_EQ(stats.cache.misses, 2u);
+  EXPECT_EQ(stats.responses_ok, 3u);
+}
+
+TEST(ServeServer, PipelinedHitBehindMissKeepsRequestOrder) {
+  SchedulerHold hold;
+  hold.armed = false;
+  ServeConfig config;
+  config.test_hold = hold.hook();
+  RunningServer running(std::move(config));
+  ServeClient client = running.connect();
+  const Request cached = rank_request('M', 5);
+  ASSERT_EQ(client.request(cached).source, CacheSource::kCold);
+
+  hold.armed = true;
+  client.send_frame(rank_request('M', 6));
+  hold.wait_until_held();
+  client.send_frame(cached);
+  // Release only once the hit frame has been read behind the held miss.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (stat_value(running.server().render_stats(), "requests admitted") < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  hold.release();
+
+  const Response first = client.read_response();
+  const Response second = client.read_response();
+  ASSERT_EQ(first.status, StatusCode::kOk);
+  ASSERT_EQ(second.status, StatusCode::kOk);
+  EXPECT_NE(first.artifact.find("rank M_6"), std::string::npos);
+  EXPECT_EQ(first.source, CacheSource::kCold);
+  EXPECT_NE(second.artifact.find("rank M_5"), std::string::npos);
+  EXPECT_EQ(second.source, CacheSource::kHit);
+
+  const ServeStats stats = running.stop();
+  EXPECT_EQ(stats.cache.hits, 1u);
+  EXPECT_EQ(stats.cache.misses, 2u);
+}
+
+TEST(ServeServer, NeverReadingClientIsBoundedAndStillServedInOrder) {
+  // A Unix socket keeps the kernel's share of the buffering near 200 KB
+  // (loopback TCP may autotune to tens of MB and hide the daemon's bound).
+  const std::string path =
+      "/tmp/bcclb_serve_test_bound_" + std::to_string(::getpid()) + ".sock";
+  ServeConfig config;
+  config.unix_path = path;
+  RunningServer running(std::move(config));
+  ServeClient reader = ServeClient::connect_unix(path);
+  ServeClient other = ServeClient::connect_unix(path);
+
+  const Request pool[] = {rank_request('M', 4), indist_request(6), rank_request('M', 5),
+                          indist_request(7)};
+  std::vector<std::string> artifacts;
+  for (const Request& request : pool) {
+    const Response cold = other.request(request);
+    ASSERT_EQ(cold.status, StatusCode::kOk);
+    artifacts.push_back(cold.artifact);
+  }
+
+  constexpr std::size_t kFrames = 20000;
+  std::string frames;
+  std::size_t response_bytes = 0;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    const Request& request = pool[i % 4];
+    frames += encode_request_frame(request);
+    response_bytes += encode_ok_frame(request.type, CacheSource::kHit, 0, artifacts[i % 4]).size();
+  }
+  // The answers must not fit in the bound plus the kernel buffers.
+  ASSERT_GT(response_bytes, 3 * ServeServer::kMaxUnsentBytes);
+
+  // The send blocks once the daemon stops reading, so it runs on its own
+  // thread; this thread reads nothing until the daemon has stopped. If an
+  // assertion below fails first, shutting the write side ends the send.
+  std::thread sender([&] {
+    try {
+      reader.send_raw(frames);
+    } catch (const ServeError&) {
+    }
+  });
+  struct JoinSender {
+    std::thread& thread;
+    ServeClient& client;
+    ~JoinSender() {
+      client.shutdown_write();
+      thread.join();
+    }
+  } join_sender{sender, reader};
+  std::uint64_t served = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (;;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    const std::uint64_t now = stat_value(running.server().render_stats(), "cache hits");
+    if ((now == served && now > 0) || std::chrono::steady_clock::now() > deadline) break;
+    served = now;
+  }
+  EXPECT_LT(served, kFrames) << "the daemon answered every frame of a client that never read";
+
+  // Meanwhile another connection is served.
+  const Response probe = other.request(pool[2]);
+  ASSERT_EQ(probe.status, StatusCode::kOk);
+  EXPECT_EQ(probe.source, CacheSource::kHit);
+  EXPECT_EQ(probe.artifact, artifacts[2]);
+
+  // Reading resumes the parse; every response arrives, in request order.
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    const Response response = reader.read_response(/*deadline_ms=*/30000);
+    ASSERT_EQ(response.status, StatusCode::kOk) << "frame " << i;
+    ASSERT_EQ(response.source, CacheSource::kHit) << "frame " << i;
+    ASSERT_EQ(response.artifact, artifacts[i % 4]) << "frame " << i;
+  }
+
+  const ServeStats stats = running.stop();
+  EXPECT_EQ(stats.cache.hits, kFrames + 1);
+  EXPECT_EQ(stats.cache.misses, 4u);
+  EXPECT_EQ(stats.responses_ok, kFrames + 5);
+}
+
 TEST(ServeServer, OversizedFrameIsSkippedWithoutDroppingTheConnection) {
   RunningServer running({});
   ServeClient client = running.connect();
@@ -991,7 +1157,7 @@ TEST(ServeClient, RetryBudgetExhaustionThrowsTheLastError) {
 TEST(ServeServer, ChaosCorruptedResponseIsCaughtByDigestNotByCache) {
   ServeConfig config;
   config.faults.seed = 7;
-  config.faults.corrupt_response_every = 1;  // every scheduled OK response
+  config.faults.corrupt_response_every = 1;  // every OK response, scheduled or inline
   RunningServer running(std::move(config));
   ServeClient client = running.connect();
   const Request request = rank_request('M', 5);
@@ -1028,6 +1194,20 @@ TEST(ServeServer, ChaosStallDelaysScheduledResponses) {
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
   ASSERT_EQ(response.status, StatusCode::kOk);
   EXPECT_GE(ms, 30.0);
+  EXPECT_EQ(running.stop().chaos_stalls, 1u);
+}
+
+TEST(ServeServer, ChaosStallNeverSleepsTheIoThreadOnInlineHits) {
+  ServeConfig config;
+  config.faults.stall_every = 1;
+  config.faults.stall_ms = 30;
+  RunningServer running(std::move(config));
+  ServeClient client = running.connect();
+  const Request request = rank_request('M', 4);
+  ASSERT_EQ(client.request(request).source, CacheSource::kCold);  // scheduled: stalls
+  const Response hit = client.request(request);                   // inline: does not
+  ASSERT_EQ(hit.status, StatusCode::kOk);
+  EXPECT_EQ(hit.source, CacheSource::kHit);
   EXPECT_EQ(running.stop().chaos_stalls, 1u);
 }
 
