@@ -6,6 +6,7 @@
 
 #include "common/errors.h"
 #include "serve/client.h"
+#include "serve/conn.h"
 
 namespace bcclb {
 
@@ -64,12 +65,6 @@ std::optional<BackendEndpoint> parse_backend_endpoint(std::string_view text) {
 
 std::uint64_t rendezvous_score(std::uint64_t key, std::uint64_t backend_ordinal) {
   return mix64(key ^ mix64(backend_ordinal + 1));
-}
-
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                        std::chrono::steady_clock::now().time_since_epoch())
-                                        .count());
 }
 
 BackendPool::BackendPool(std::vector<BackendEndpoint> endpoints, BackendPolicy policy)

@@ -33,7 +33,7 @@
 //
 // All state transitions take explicit now_ns timestamps so tests drive the
 // machine deterministically without sleeping; the probe thread and router
-// pass steady_now_ns().
+// pass steady_now_ns() (serve/conn.h).
 #pragma once
 
 #include <condition_variable>
@@ -107,9 +107,6 @@ struct BackendSnapshot {
 // and identical on every host. Exposed for tests and for callers that want
 // to reason about key ownership.
 std::uint64_t rendezvous_score(std::uint64_t key, std::uint64_t backend_ordinal);
-
-// Monotonic ns (steady_clock) — the timestamp the pool's transitions expect.
-std::uint64_t steady_now_ns();
 
 class BackendPool {
  public:

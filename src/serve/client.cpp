@@ -5,7 +5,6 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -16,6 +15,7 @@
 
 #include "bcc/batch_runner.h"
 #include "common/errors.h"
+#include "serve/conn.h"
 
 namespace bcclb {
 
@@ -39,21 +39,10 @@ void set_nonblocking(int fd) {
   }
 }
 
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                        std::chrono::steady_clock::now().time_since_epoch())
-                                        .count());
-}
-
 }  // namespace
 
 ServeClient ServeClient::connect_unix(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof addr.sun_path) {
-    throw ServeError("client: unix socket path too long");
-  }
-  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
+  const sockaddr_un addr = unix_address(path, "client");
   const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) throw_io("client: socket");
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {

@@ -1,16 +1,11 @@
 #include "serve/router.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -23,33 +18,9 @@ namespace bcclb {
 
 namespace {
 
-std::string errno_text(const char* what) {
-  return std::string(what) + ": " + std::strerror(errno);
-}
-
 ServeClient dial(const BackendEndpoint& endpoint) {
   return endpoint.unix_path.empty() ? ServeClient::connect_tcp(endpoint.tcp_port)
                                     : ServeClient::connect_unix(endpoint.unix_path);
-}
-
-// Blocking send of a whole frame to the (non-blocking) client socket.
-// Returns false when the client is gone — the connection closes.
-bool send_to_client(int fd, std::string_view frame) {
-  std::size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t w = ::send(fd, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        pollfd pfd{fd, POLLOUT, 0};
-        if (::poll(&pfd, 1, -1) < 0 && errno != EINTR) return false;
-        continue;
-      }
-      return false;
-    }
-    sent += static_cast<std::size_t>(w);
-  }
-  return true;
 }
 
 }  // namespace
@@ -74,65 +45,9 @@ RouterServer::RouterServer(RouterConfig config)
   }
 }
 
-RouterServer::~RouterServer() {
-  pool_.stop_probing();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (owns_unix_path_) ::unlink(config_.unix_path.c_str());
-}
+RouterServer::~RouterServer() { pool_.stop_probing(); }
 
-void RouterServer::bind() {
-  if (listen_fd_ >= 0) throw ServeError("route: already bound");
-  if (!config_.unix_path.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (config_.unix_path.size() >= sizeof addr.sun_path) {
-      throw ServeError("route: unix socket path longer than " +
-                       std::to_string(sizeof addr.sun_path - 1) + " bytes");
-    }
-    std::strncpy(addr.sun_path, config_.unix_path.c_str(), sizeof addr.sun_path - 1);
-
-    // Same stale-socket discipline as bccd: a live listener means another
-    // instance owns the path; a dead file from a crash is swept aside.
-    const int probe = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (probe >= 0) {
-      const bool live =
-          ::connect(probe, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0;
-      ::close(probe);
-      if (live) {
-        throw ServeError("route: '" + config_.unix_path + "' is already being served");
-      }
-    }
-    ::unlink(config_.unix_path.c_str());
-
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) throw ServeError(errno_text("route: socket"));
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-      throw ServeError(errno_text(("route: bind '" + config_.unix_path + "'").c_str()));
-    }
-    owns_unix_path_ = true;
-  } else {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) throw ServeError(errno_text("route: socket"));
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(config_.tcp_port);
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-      throw ServeError(errno_text("route: bind 127.0.0.1"));
-    }
-    socklen_t len = sizeof addr;
-    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-    resolved_port_ = ntohs(addr.sin_port);
-  }
-  if (::listen(listen_fd_, 128) != 0) throw ServeError(errno_text("route: listen"));
-}
-
-std::string RouterServer::endpoint() const {
-  if (!config_.unix_path.empty()) return "unix:" + config_.unix_path;
-  return "tcp:127.0.0.1:" + std::to_string(resolved_port_);
-}
+void RouterServer::bind() { listener_.bind(config_.unix_path, config_.tcp_port, "route"); }
 
 void RouterServer::begin_drain() { drain_requested_.store(true, std::memory_order_relaxed); }
 
@@ -162,9 +77,10 @@ std::string RouterServer::render_stats() const {
   line("digest rejected", digest_rejected_.load(std::memory_order_relaxed));
   line("no backend", no_backend_.load(std::memory_order_relaxed));
   line("stats probes", stats_probes_.load(std::memory_order_relaxed));
-  line("protocol violations", protocol_violations_.load(std::memory_order_relaxed));
-  line("rejected too-large", too_large_.load(std::memory_order_relaxed));
+  line("protocol violations", framing_.protocol_violations.load(std::memory_order_relaxed));
+  line("rejected too-large", framing_.too_large.load(std::memory_order_relaxed));
   line("rejected draining", draining_rejected_.load(std::memory_order_relaxed));
+  line("unsent-bound pauses", framing_.unsent_pauses.load(std::memory_order_relaxed));
   const std::vector<BackendSnapshot> backends = pool_.snapshot();
   for (std::size_t id = 0; id < backends.size(); ++id) {
     const BackendSnapshot& b = backends[id];
@@ -359,108 +275,62 @@ RouterServer::RouteResult RouterServer::route(const Request& request, std::uint6
       false};
 }
 
+std::string RouterServer::reply(const FrameHeader& header, std::string_view payload,
+                                ConnCtx& ctx) {
+  const RequestType type = static_cast<RequestType>(header.type);
+  if (type == RequestType::kStats) {
+    stats_probes_.fetch_add(1, std::memory_order_relaxed);
+    const std::string artifact = render_stats();
+    return encode_ok_frame(type, CacheSource::kCold, fnv1a(artifact), artifact);
+  }
+  if (drain_now()) {
+    draining_rejected_.fetch_add(1, std::memory_order_relaxed);
+    return encode_error_frame(type, StatusCode::kDraining,
+                              "router is draining; request not admitted");
+  }
+  try {
+    const Request request = decode_request(header.type, payload);
+    return route(request, request_cache_key(request), ctx).frame;
+  } catch (const ProtocolViolationError& e) {
+    framing_.protocol_violations.fetch_add(1, std::memory_order_relaxed);
+    return encode_error_frame(type, StatusCode::kProtocolViolation, e.what());
+  }
+}
+
 void RouterServer::conn_main(int fd) {
   ConnCtx ctx;
   ctx.clients.resize(pool_.size());
-  std::string inbuf;
-  std::size_t discard = 0;
+  FrameConn conn(fd);
+  const FrameHandler handle = [this, &ctx](const FrameHeader& header, std::string_view payload) {
+    return reply(header, payload, ctx);
+  };
   std::uint64_t drain_close_ns = 0;
-  bool open = true;
-  char buf[4096];
-
-  while (open) {
+  while (!conn.finished()) {
     if (drain_now()) {
-      // Linger briefly so a request already on the wire gets its typed
-      // Draining answer instead of a reset, then close.
+      // Linger so unsent bytes go out and a request already on the wire gets
+      // its typed Draining answer instead of a reset, then close.
       const std::uint64_t now = steady_now_ns();
       if (drain_close_ns == 0) {
-        drain_close_ns = now + 500'000'000ULL;
+        drain_close_ns = now + kDrainLingerNs;
       } else if (now >= drain_close_ns) {
         break;
       }
     }
-    pollfd pfd{fd, POLLIN, 0};
+    pollfd pfd{conn.fd(), conn.poll_events(), 0};
     const int rc = ::poll(&pfd, 1, 100);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (rc == 0) continue;
-    const ssize_t r = ::recv(fd, buf, sizeof buf, 0);
-    if (r == 0) break;  // client hung up
-    if (r < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      break;
-    }
-    inbuf.append(buf, static_cast<std::size_t>(r));
-
-    while (open) {
-      if (discard > 0) {
-        const std::size_t n = std::min(discard, inbuf.size());
-        inbuf.erase(0, n);
-        discard -= n;
-        if (discard > 0) break;  // oversized payload still arriving
-      }
-      if (inbuf.size() < kFrameHeaderBytes) break;
-      FrameHeader header;
-      try {
-        header = decode_frame_header(std::string_view(inbuf).substr(0, kFrameHeaderBytes));
-      } catch (const ProtocolViolationError& e) {
-        // Bad magic or version: framing is unrecoverable on this stream.
-        protocol_violations_.fetch_add(1, std::memory_order_relaxed);
-        send_to_client(fd, encode_error_frame(RequestType::kStats,
-                                              StatusCode::kProtocolViolation, e.what()));
-        open = false;
-        break;
-      }
-      const RequestType type = static_cast<RequestType>(header.type);
-      if (header.payload_len > config_.max_request_bytes) {
-        too_large_.fetch_add(1, std::memory_order_relaxed);
-        if (!send_to_client(
-                fd, encode_error_frame(type, StatusCode::kRequestTooLarge,
-                                       "request payload exceeds " +
-                                           std::to_string(config_.max_request_bytes) +
-                                           " bytes"))) {
-          open = false;
-          break;
-        }
-        inbuf.erase(0, kFrameHeaderBytes);
-        discard = header.payload_len;  // skip it; framing survives
-        continue;
-      }
-      if (inbuf.size() < kFrameHeaderBytes + header.payload_len) break;
-      const std::string payload = inbuf.substr(kFrameHeaderBytes, header.payload_len);
-      inbuf.erase(0, kFrameHeaderBytes + header.payload_len);
-
-      std::string reply;
-      if (type == RequestType::kStats) {
-        stats_probes_.fetch_add(1, std::memory_order_relaxed);
-        const std::string artifact = render_stats();
-        reply = encode_ok_frame(type, CacheSource::kCold, fnv1a(artifact), artifact);
-      } else if (drain_now()) {
-        draining_rejected_.fetch_add(1, std::memory_order_relaxed);
-        reply = encode_error_frame(type, StatusCode::kDraining,
-                                   "router is draining; request not admitted");
-      } else {
-        try {
-          const Request request = decode_request(header.type, payload);
-          reply = route(request, request_cache_key(request), ctx).frame;
-        } catch (const ProtocolViolationError& e) {
-          protocol_violations_.fetch_add(1, std::memory_order_relaxed);
-          reply = encode_error_frame(type, StatusCode::kProtocolViolation, e.what());
-        }
-      }
-      if (!send_to_client(fd, reply)) open = false;
-    }
+    if (rc < 0 && errno != EINTR) break;
+    if (rc <= 0) continue;
+    if ((pfd.revents & (POLLERR | POLLNVAL)) != 0) break;
+    if ((pfd.revents & (POLLIN | POLLHUP)) != 0) conn.receive();
+    if (!conn.serve(config_.max_request_bytes, framing_, handle)) break;
   }
 
   for (std::thread& stray : ctx.strays) stray.join();
-  ::close(fd);
   active_connections_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 RouterStats RouterServer::run() {
-  if (listen_fd_ < 0) throw ServeError("route: run() before bind()");
+  if (!listener_.listening()) throw ServeError("route: run() before bind()");
   pool_.start_probing();
 
   struct ConnThread {
@@ -482,7 +352,7 @@ RouterStats RouterServer::run() {
 
   while (!drain_now()) {
     reap_finished();
-    pollfd pfd{listen_fd_, POLLIN, 0};
+    pollfd pfd{listener_.fd(), POLLIN, 0};
     const int rc = ::poll(&pfd, 1, 100);
     if (rc < 0) {
       if (errno == EINTR) continue;
@@ -491,7 +361,7 @@ RouterStats RouterServer::run() {
     }
     if (rc == 0) continue;
     for (;;) {
-      const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+      const int fd = listener_.accept();
       if (fd < 0) break;
       if (active_connections_.load(std::memory_order_relaxed) >= config_.max_connections) {
         connections_rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -510,12 +380,7 @@ RouterStats RouterServer::run() {
   }
 
   drain_requested_.store(true, std::memory_order_relaxed);
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  if (owns_unix_path_) {
-    ::unlink(config_.unix_path.c_str());
-    owns_unix_path_ = false;
-  }
+  listener_.close();
   for (ConnThread& conn : conns) conn.thread.join();
   pool_.stop_probing();
 
@@ -531,9 +396,10 @@ RouterStats RouterServer::run() {
   stats.digest_rejected = digest_rejected_.load(std::memory_order_relaxed);
   stats.no_backend = no_backend_.load(std::memory_order_relaxed);
   stats.stats_probes = stats_probes_.load(std::memory_order_relaxed);
-  stats.protocol_violations = protocol_violations_.load(std::memory_order_relaxed);
-  stats.too_large = too_large_.load(std::memory_order_relaxed);
+  stats.protocol_violations = framing_.protocol_violations.load(std::memory_order_relaxed);
+  stats.too_large = framing_.too_large.load(std::memory_order_relaxed);
   stats.draining_rejected = draining_rejected_.load(std::memory_order_relaxed);
+  stats.unsent_pauses = framing_.unsent_pauses.load(std::memory_order_relaxed);
   stats.backends = pool_.snapshot();
   return stats;
 }

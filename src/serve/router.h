@@ -33,9 +33,11 @@
 // Threading: unlike bccd's poll loop, the router is thread-per-connection —
 // each connection blocks on its own backend round trips, so one slow shard
 // never stalls another client's traffic and the code stays sequential.
-// The accept loop polls at 100 ms so drain (SIGTERM via drain_flag, or
-// begin_drain()) is noticed promptly: stop accepting, linger briefly
-// answering Draining to late frames, join every connection, return stats.
+// Each connection thread serves one FrameConn (serve/conn.h, shared with
+// bccd) through reply(). The accept loop polls at 100 ms so drain (SIGTERM
+// via drain_flag, or begin_drain()) is noticed promptly: stop accepting,
+// linger kDrainLingerNs answering Draining to late frames, join every
+// connection, return stats.
 #pragma once
 
 #include <atomic>
@@ -47,6 +49,7 @@
 #include <vector>
 
 #include "serve/backend_pool.h"
+#include "serve/conn.h"
 #include "serve/wire.h"
 
 namespace bcclb {
@@ -87,6 +90,7 @@ struct RouterStats {
   std::uint64_t protocol_violations = 0;
   std::uint64_t too_large = 0;
   std::uint64_t draining_rejected = 0;
+  std::uint64_t unsent_pauses = 0;         // inputs paused at FrameConn::kMaxUnsentBytes
   std::vector<BackendSnapshot> backends;
 };
 
@@ -98,8 +102,8 @@ class RouterServer {
   RouterServer(const RouterServer&) = delete;
   RouterServer& operator=(const RouterServer&) = delete;
 
-  // Creates, binds and listens on the front endpoint (stale-unix-socket
-  // probe and TCP port readback exactly like ServeServer). Throws ServeError.
+  // Creates, binds and listens on the front endpoint (the same Listener as
+  // ServeServer). Throws ServeError.
   void bind();
 
   // Routes until drained; returns final stats (including per-backend circuit
@@ -109,8 +113,8 @@ class RouterServer {
   // Thread-safe drain trigger, equivalent to the signal path.
   void begin_drain();
 
-  std::uint16_t tcp_port() const { return resolved_port_; }
-  std::string endpoint() const;
+  std::uint16_t tcp_port() const { return listener_.tcp_port(); }
+  std::string endpoint() const { return listener_.endpoint(); }
 
   // The stats/health artifact (what a kStats request to the router returns):
   // router counters plus one line per backend with its circuit state.
@@ -128,6 +132,8 @@ class RouterServer {
   struct ConnCtx;
 
   void conn_main(int fd);
+  // The FrameHandler of one connection: stats, Draining, or the routed answer.
+  std::string reply(const FrameHeader& header, std::string_view payload, ConnCtx& ctx);
   RouteResult route(const Request& request, std::uint64_t key, ConnCtx& ctx);
   // One attempt against shard `id`. ctx != nullptr uses the connection cache;
   // nullptr dials fresh (hedge threads must not share cached connections).
@@ -144,9 +150,7 @@ class RouterServer {
   RouterConfig config_;
   BackendPool pool_;
 
-  int listen_fd_ = -1;
-  std::uint16_t resolved_port_ = 0;
-  bool owns_unix_path_ = false;
+  Listener listener_;
 
   std::atomic<bool> drain_requested_{false};
   std::atomic<std::size_t> active_connections_{0};
@@ -154,7 +158,8 @@ class RouterServer {
   std::atomic<std::uint64_t> connections_accepted_{0}, connections_rejected_{0},
       requests_routed_{0}, responses_ok_{0}, responses_error_{0}, failovers_{0},
       hedges_launched_{0}, hedges_won_{0}, digest_rejected_{0}, no_backend_{0},
-      stats_probes_{0}, protocol_violations_{0}, too_large_{0}, draining_rejected_{0};
+      stats_probes_{0}, draining_rejected_{0};
+  FramingCounters framing_;
 };
 
 }  // namespace bcclb

@@ -1,17 +1,12 @@
 #include "serve/server.h"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <cerrno>
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <iterator>
 #include <thread>
 
@@ -20,14 +15,6 @@
 #include "serve/handlers.h"
 
 namespace bcclb {
-
-namespace {
-
-std::string errno_text(const char* what) {
-  return std::string(what) + ": " + std::strerror(errno);
-}
-
-}  // namespace
 
 ServeServer::ServeServer(ServeConfig config)
     : config_(std::move(config)),
@@ -38,72 +25,18 @@ ServeServer::ServeServer(ServeConfig config)
 }
 
 ServeServer::~ServeServer() {
-  if (listen_fd_ >= 0) ::close(listen_fd_);
   if (wake_r_ >= 0) ::close(wake_r_);
   if (wake_w_ >= 0) ::close(wake_w_);
-  for (auto& [id, conn] : conns_) ::close(conn.fd);
-  if (owns_unix_path_) ::unlink(config_.unix_path.c_str());
 }
 
 void ServeServer::bind() {
-  if (listen_fd_ >= 0) throw ServeError("serve: already bound");
+  listener_.bind(config_.unix_path, config_.tcp_port, "serve");
   int pipefd[2];
   if (::pipe2(pipefd, O_NONBLOCK | O_CLOEXEC) != 0) {
     throw ServeError(errno_text("serve: pipe2"));
   }
   wake_r_ = pipefd[0];
   wake_w_ = pipefd[1];
-
-  if (!config_.unix_path.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (config_.unix_path.size() >= sizeof addr.sun_path) {
-      throw ServeError("serve: unix socket path longer than " +
-                       std::to_string(sizeof addr.sun_path - 1) + " bytes");
-    }
-    std::strncpy(addr.sun_path, config_.unix_path.c_str(), sizeof addr.sun_path - 1);
-
-    // A stale socket file from a crashed daemon blocks bind(); a live one
-    // means another instance is serving. Probe: if anyone accepts, refuse.
-    const int probe = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (probe >= 0) {
-      const bool live =
-          ::connect(probe, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0;
-      ::close(probe);
-      if (live) {
-        throw ServeError("serve: '" + config_.unix_path + "' is already being served");
-      }
-    }
-    ::unlink(config_.unix_path.c_str());
-
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) throw ServeError(errno_text("serve: socket"));
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-      throw ServeError(errno_text(("serve: bind '" + config_.unix_path + "'").c_str()));
-    }
-    owns_unix_path_ = true;
-  } else {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) throw ServeError(errno_text("serve: socket"));
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(config_.tcp_port);
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-      throw ServeError(errno_text("serve: bind 127.0.0.1"));
-    }
-    socklen_t len = sizeof addr;
-    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-    resolved_port_ = ntohs(addr.sin_port);
-  }
-  if (::listen(listen_fd_, 128) != 0) throw ServeError(errno_text("serve: listen"));
-}
-
-std::string ServeServer::endpoint() const {
-  if (!config_.unix_path.empty()) return "unix:" + config_.unix_path;
-  return "tcp:127.0.0.1:" + std::to_string(resolved_port_);
 }
 
 void ServeServer::begin_drain() { drain_requested_.store(true, std::memory_order_relaxed); }
@@ -115,10 +48,7 @@ void ServeServer::enter_drain() {
     draining_ = true;
   }
   cv_.notify_all();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  listener_.close();
 }
 
 std::string ServeServer::render_stats() const {
@@ -146,9 +76,10 @@ std::string ServeServer::render_stats() const {
   line("responses ok", responses_ok_.load(std::memory_order_relaxed));
   line("compute failed", compute_failed_.load(std::memory_order_relaxed));
   line("rejected queue-full", queue_full_.load(std::memory_order_relaxed));
-  line("rejected too-large", too_large_.load(std::memory_order_relaxed));
-  line("protocol violations", protocol_violations_.load(std::memory_order_relaxed));
+  line("rejected too-large", framing_.too_large.load(std::memory_order_relaxed));
+  line("protocol violations", framing_.protocol_violations.load(std::memory_order_relaxed));
   line("rejected draining", draining_rejected_.load(std::memory_order_relaxed));
+  line("unsent-bound pauses", framing_.unsent_pauses.load(std::memory_order_relaxed));
   line("stats probes", stats_probes_.load(std::memory_order_relaxed));
   line("coalesced", coalesced_.load(std::memory_order_relaxed));
   line("cache hits", cache.hits);
@@ -343,37 +274,34 @@ void ServeServer::drain_completions() {
   for (ReadyResponse& response : ready) {
     const auto it = conns_.find(response.conn_id);
     if (it == conns_.end()) continue;  // client went away; drop the bytes
-    it->second.outbuf += response.frame;
+    it->second.io.queue_output(response.frame);
     --it->second.queued;
   }
 }
 
-void ServeServer::handle_frame(std::uint64_t conn_id, Connection& conn,
-                               const FrameHeader& header, std::string_view payload) {
+std::string ServeServer::handle_frame(std::uint64_t conn_id, Connection& conn,
+                                      const FrameHeader& header, std::string_view payload) {
   const RequestType type = static_cast<RequestType>(header.type);
   if (type == RequestType::kStats) {
     // Health probes are served inline by the I/O thread: they must answer
     // even when the queue is saturated — that is the point of a probe.
     stats_probes_.fetch_add(1, std::memory_order_relaxed);
     const std::string artifact = render_stats();
-    conn.outbuf += encode_ok_frame(type, CacheSource::kCold, fnv1a(artifact), artifact);
-    return;
+    return encode_ok_frame(type, CacheSource::kCold, fnv1a(artifact), artifact);
   }
 
   Request request;
   try {
     request = decode_request(header.type, payload);
   } catch (const ProtocolViolationError& e) {
-    protocol_violations_.fetch_add(1, std::memory_order_relaxed);
-    conn.outbuf += encode_error_frame(type, StatusCode::kProtocolViolation, e.what());
-    return;
+    framing_.protocol_violations.fetch_add(1, std::memory_order_relaxed);
+    return encode_error_frame(type, StatusCode::kProtocolViolation, e.what());
   }
 
   if (drain_requested_.load(std::memory_order_relaxed)) {
     draining_rejected_.fetch_add(1, std::memory_order_relaxed);
-    conn.outbuf += encode_error_frame(type, StatusCode::kDraining,
-                                      "daemon is draining; request not admitted");
-    return;
+    return encode_error_frame(type, StatusCode::kDraining,
+                              "daemon is draining; request not admitted");
   }
 
   const std::uint64_t key = request_cache_key(request);
@@ -384,8 +312,7 @@ void ServeServer::handle_frame(std::uint64_t conn_id, Connection& conn,
   if (conn.queued == 0) {
     if (const auto hit = cache_.lookup_hit(key)) {
       requests_admitted_.fetch_add(1, std::memory_order_relaxed);
-      conn.outbuf += ok_frame(type, CacheSource::kHit, *hit);
-      return;
+      return ok_frame(type, CacheSource::kHit, *hit);
     }
   }
 
@@ -401,88 +328,19 @@ void ServeServer::handle_frame(std::uint64_t conn_id, Connection& conn,
     requests_admitted_.fetch_add(1, std::memory_order_relaxed);
     ++conn.queued;
     cv_.notify_one();
-  } else {
-    // Typed backpressure: the connection survives, the client hears exactly
-    // why, and may retry after a backoff.
-    queue_full_.fetch_add(1, std::memory_order_relaxed);
-    conn.outbuf += encode_error_frame(
-        type, StatusCode::kQueueFull,
-        "admission queue full (" + std::to_string(config_.queue_capacity) + ")");
+    return {};
   }
-}
-
-void ServeServer::parse_inbuf(std::uint64_t conn_id, Connection& conn) {
-  for (;;) {
-    // Over the unsent bound the rest of the input waits for a flush.
-    if (conn.unsent() > kMaxUnsentBytes) return;
-    if (conn.discard > 0) {
-      const std::size_t take = std::min(conn.discard, conn.inbuf.size());
-      conn.inbuf.erase(0, take);
-      conn.discard -= take;
-      if (conn.discard > 0) return;
-    }
-    if (conn.inbuf.size() < kFrameHeaderBytes) return;
-    FrameHeader header;
-    try {
-      header = decode_frame_header(conn.inbuf);
-    } catch (const ProtocolViolationError& e) {
-      // Bad magic or version: the stream cannot be re-synchronized. Answer
-      // once, then close after the flush.
-      protocol_violations_.fetch_add(1, std::memory_order_relaxed);
-      conn.outbuf += encode_error_frame(static_cast<RequestType>(0),
-                                        StatusCode::kProtocolViolation, e.what());
-      conn.close_after_flush = true;
-      conn.inbuf.clear();
-      return;
-    }
-    if (header.payload_len > config_.max_request_bytes) {
-      // Framing is intact — skip exactly payload_len bytes and keep serving
-      // the connection.
-      too_large_.fetch_add(1, std::memory_order_relaxed);
-      conn.outbuf += encode_error_frame(
-          static_cast<RequestType>(header.type), StatusCode::kRequestTooLarge,
-          "request payload of " + std::to_string(header.payload_len) +
-              " bytes exceeds the " + std::to_string(config_.max_request_bytes) +
-              "-byte cap");
-      conn.inbuf.erase(0, kFrameHeaderBytes);
-      conn.discard = header.payload_len;
-      continue;
-    }
-    if (conn.inbuf.size() < kFrameHeaderBytes + header.payload_len) return;
-    const std::string_view payload =
-        std::string_view(conn.inbuf).substr(kFrameHeaderBytes, header.payload_len);
-    handle_frame(conn_id, conn, header, payload);
-    conn.inbuf.erase(0, kFrameHeaderBytes + header.payload_len);
-  }
-}
-
-bool ServeServer::flush(Connection& conn) {
-  while (conn.unsent() > 0) {
-    const ssize_t w = ::send(conn.fd, conn.outbuf.data() + conn.outpos, conn.unsent(),
-                             MSG_NOSIGNAL);
-    if (w > 0) {
-      conn.outpos += static_cast<std::size_t>(w);
-    } else if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      break;
-    } else {
-      return false;
-    }
-  }
-  if (conn.unsent() == 0) {
-    conn.outbuf.clear();
-    conn.outpos = 0;
-  } else if (conn.outpos >= kMaxUnsentBytes) {
-    // A reader that keeps up only partly never empties outbuf; drop the
-    // sent prefix so the buffer stays near the bound.
-    conn.outbuf.erase(0, conn.outpos);
-    conn.outpos = 0;
-  }
-  return true;
+  // Typed backpressure: the connection survives, the client hears exactly
+  // why, and may retry after a backoff.
+  queue_full_.fetch_add(1, std::memory_order_relaxed);
+  return encode_error_frame(type, StatusCode::kQueueFull,
+                            "admission queue full (" + std::to_string(config_.queue_capacity) +
+                                ")");
 }
 
 void ServeServer::accept_ready() {
   for (;;) {
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    const int fd = listener_.accept();
     if (fd < 0) return;
     if (conns_.size() >= config_.max_connections) {
       connections_rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -490,21 +348,12 @@ void ServeServer::accept_ready() {
       continue;
     }
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    Connection conn;
-    conn.fd = fd;
-    conns_.emplace(next_conn_id_++, std::move(conn));
+    conns_.try_emplace(next_conn_id_++, fd);
   }
 }
 
-void ServeServer::close_connection(std::uint64_t conn_id) {
-  const auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  ::close(it->second.fd);
-  conns_.erase(it);
-}
-
 ServeStats ServeServer::run() {
-  if (listen_fd_ < 0 && !drain_requested_.load(std::memory_order_relaxed)) {
+  if (!listener_.listening() && !drain_requested_.load(std::memory_order_relaxed)) {
     throw ServeError("serve: run() before bind()");
   }
   scheduler_ = std::thread(&ServeServer::scheduler_main, this);
@@ -512,6 +361,7 @@ ServeStats ServeServer::run() {
   std::vector<pollfd> fds;
   std::vector<std::uint64_t> ids;
   bool drained_entered = false;
+  std::uint64_t linger_until_ns = 0;
   for (;;) {
     if (!drained_entered &&
         (drain_requested_.load(std::memory_order_relaxed) ||
@@ -522,14 +372,11 @@ ServeStats ServeServer::run() {
 
     fds.clear();
     ids.clear();
-    if (listen_fd_ >= 0) fds.push_back(pollfd{listen_fd_, POLLIN, 0});
+    if (listener_.listening()) fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
     const std::size_t listen_slots = fds.size();
     fds.push_back(pollfd{wake_r_, POLLIN, 0});
     for (const auto& [id, conn] : conns_) {
-      // Over the unsent bound, stop reading until the client drains.
-      short events = conn.unsent() > kMaxUnsentBytes ? 0 : POLLIN;
-      if (conn.unsent() > 0) events |= POLLOUT;
-      fds.push_back(pollfd{conn.fd, events, 0});
+      fds.push_back(pollfd{conn.io.fd(), conn.io.poll_events(), 0});
       ids.push_back(id);
     }
     // 50 ms cap so the drain flag (a sig_atomic_t written by a signal
@@ -545,57 +392,34 @@ ServeStats ServeServer::run() {
     // Before the connection pass, so finished builds go out in this pass.
     drain_completions();
 
-    std::vector<std::uint64_t> to_close;
     for (std::size_t c = 0; c < ids.size(); ++c) {
       const pollfd& pfd = fds[listen_slots + 1 + c];
       const auto it = conns_.find(ids[c]);
       if (it == conns_.end()) continue;
       Connection& conn = it->second;
-      if ((pfd.revents & (POLLERR | POLLNVAL)) != 0) {
-        to_close.push_back(ids[c]);
-        continue;
+      bool alive = (pfd.revents & (POLLERR | POLLNVAL)) == 0;
+      if (alive) {
+        if ((pfd.revents & (POLLIN | POLLHUP)) != 0) conn.io.receive();
+        alive = conn.io.serve(config_.max_request_bytes, framing_,
+                              [this, &entry = *it](const FrameHeader& header,
+                                                   std::string_view payload) {
+                                return handle_frame(entry.first, entry.second, header, payload);
+                              });
       }
-      if ((pfd.revents & (POLLIN | POLLHUP)) != 0) {
-        char buf[65536];
-        for (;;) {
-          const ssize_t r = ::recv(conn.fd, buf, sizeof buf, 0);
-          if (r > 0) {
-            conn.inbuf.append(buf, static_cast<std::size_t>(r));
-            continue;
-          }
-          if (r == 0) conn.close_after_flush = true;  // peer is done sending
-          break;  // r < 0: EAGAIN (done) or a real error surfaced at send
-        }
-      }
-      // Parse and send until the input is used up or the socket is full:
-      // parsing stops at the unsent bound, and a send can lift it again.
-      bool dead = false;
-      for (;;) {
-        parse_inbuf(ids[c], conn);
-        const bool stopped = conn.unsent() > kMaxUnsentBytes;
-        if (!flush(conn)) {
-          dead = true;
-          break;
-        }
-        if (!stopped || conn.unsent() > kMaxUnsentBytes) break;
-      }
-      if (dead || (conn.close_after_flush && conn.unsent() == 0)) to_close.push_back(ids[c]);
+      if (!alive || (conn.io.finished() && conn.queued == 0)) conns_.erase(it);
     }
-    for (const std::uint64_t id : to_close) close_connection(id);
 
     if (drained_entered && scheduler_done_.load(std::memory_order_relaxed)) {
-      bool pending = false;
+      // Nothing admitted is left: connections get kDrainLingerNs to take
+      // their unsent bytes, then run() returns.
+      const std::uint64_t now = steady_now_ns();
+      if (linger_until_ns == 0) linger_until_ns = now + kDrainLingerNs;
+      bool pending = now < linger_until_ns &&
+                     std::any_of(conns_.begin(), conns_.end(),
+                                 [](const auto& entry) { return entry.second.io.unsent() > 0; });
       {
         std::lock_guard<std::mutex> lock(mutex_);
-        pending = !completed_.empty();
-      }
-      if (!pending) {
-        for (const auto& [id, conn] : conns_) {
-          if (conn.unsent() > 0) {
-            pending = true;
-            break;
-          }
-        }
+        pending = pending || !completed_.empty();
       }
       if (!pending) break;
     }
@@ -603,12 +427,7 @@ ServeStats ServeServer::run() {
 
   scheduler_.join();
   drain_completions();  // scheduler is gone; anything left has no reader
-  for (auto& [id, conn] : conns_) ::close(conn.fd);
   conns_.clear();
-  if (owns_unix_path_) {
-    ::unlink(config_.unix_path.c_str());
-    owns_unix_path_ = false;
-  }
 
   ServeStats stats;
   stats.connections_accepted = connections_accepted_.load(std::memory_order_relaxed);
@@ -617,9 +436,10 @@ ServeStats ServeServer::run() {
   stats.responses_ok = responses_ok_.load(std::memory_order_relaxed);
   stats.compute_failed = compute_failed_.load(std::memory_order_relaxed);
   stats.queue_full = queue_full_.load(std::memory_order_relaxed);
-  stats.too_large = too_large_.load(std::memory_order_relaxed);
-  stats.protocol_violations = protocol_violations_.load(std::memory_order_relaxed);
+  stats.too_large = framing_.too_large.load(std::memory_order_relaxed);
+  stats.protocol_violations = framing_.protocol_violations.load(std::memory_order_relaxed);
   stats.draining_rejected = draining_rejected_.load(std::memory_order_relaxed);
+  stats.unsent_pauses = framing_.unsent_pauses.load(std::memory_order_relaxed);
   stats.stats_probes = stats_probes_.load(std::memory_order_relaxed);
   stats.coalesced = coalesced_.load(std::memory_order_relaxed);
   stats.cache = cache_.stats();

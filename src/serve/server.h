@@ -18,7 +18,8 @@
 // stays open, the client decides whether to retry. Draining (SIGINT/SIGTERM
 // via the drain flag, or begin_drain()) stops accepting connections, rejects
 // new requests with Draining frames, finishes everything already admitted,
-// flushes every response, and returns final stats; the CLI exits 0.
+// and returns final stats; the CLI exits 0. Once nothing admitted is left,
+// each connection gets at most kDrainLingerNs to take its unsent bytes.
 //
 // Responses on one connection are delivered in request order. The I/O thread
 // answers a memory-tier hit itself only while the connection's `queued`
@@ -29,9 +30,9 @@
 // all answered at once so health checks and backpressure work even when the
 // queue is saturated.
 //
-// A connection with more than kMaxUnsentBytes of response bytes not yet sent
-// is neither read nor parsed until the client drains it, so a client that
-// pipelines hits and never reads cannot grow the daemon's memory.
+// Sockets, framing, the unsent-bytes bound and the drain linger are the
+// connection layer shared with bccr (serve/conn.h): a Listener accepts, and
+// each connection is a FrameConn whose handler is handle_frame().
 #pragma once
 
 #include <atomic>
@@ -50,6 +51,7 @@
 #include "bcc/batch_runner.h"
 #include "serve/artifact_cache.h"
 #include "serve/chaos.h"
+#include "serve/conn.h"
 #include "serve/disk_store.h"
 #include "serve/wire.h"
 
@@ -96,6 +98,7 @@ struct ServeStats {
   std::uint64_t too_large = 0;
   std::uint64_t protocol_violations = 0;
   std::uint64_t draining_rejected = 0;
+  std::uint64_t unsent_pauses = 0;  // inputs paused at FrameConn::kMaxUnsentBytes
   std::uint64_t stats_probes = 0;
   std::uint64_t coalesced = 0;  // requests served by sharing a concurrent build
   CacheStats cache;
@@ -109,9 +112,6 @@ class ServeServer {
  public:
   explicit ServeServer(ServeConfig config);
   ~ServeServer();
-
-  // Per-connection bound on response bytes not yet sent (see the header).
-  static constexpr std::size_t kMaxUnsentBytes = std::size_t{1} << 20;
 
   ServeServer(const ServeServer&) = delete;
   ServeServer& operator=(const ServeServer&) = delete;
@@ -127,10 +127,10 @@ class ServeServer {
   void begin_drain();
 
   // Resolved TCP port (after bind(); meaningful in TCP mode).
-  std::uint16_t tcp_port() const { return resolved_port_; }
+  std::uint16_t tcp_port() const { return listener_.tcp_port(); }
 
   // Human-readable endpoint, for logs.
-  std::string endpoint() const;
+  std::string endpoint() const { return listener_.endpoint(); }
 
   // The stats/health artifact (also what a kStats request returns).
   std::string render_stats() const;
@@ -141,15 +141,9 @@ class ServeServer {
 
  private:
   struct Connection {
-    int fd = -1;
-    std::string inbuf;
-    std::string outbuf;
-    std::size_t outpos = 0;
-    std::size_t discard = 0;  // oversized payload bytes still to skip
-    std::size_t queued = 0;   // admitted requests whose response is not in outbuf yet
-    bool close_after_flush = false;
-
-    std::size_t unsent() const { return outbuf.size() - outpos; }
+    explicit Connection(int fd) : io(fd) {}
+    FrameConn io;
+    std::size_t queued = 0;  // admitted requests whose response is not queued yet
   };
 
   struct PendingRequest {
@@ -165,17 +159,15 @@ class ServeServer {
 
   void scheduler_main();
   void process_batch(std::vector<PendingRequest>& batch);
-  void handle_frame(std::uint64_t conn_id, Connection& conn, const FrameHeader& header,
-                    std::string_view payload);
-  void parse_inbuf(std::uint64_t conn_id, Connection& conn);
-  // Sends what the socket takes; false when the peer is gone.
-  static bool flush(Connection& conn);
+  // The FrameHandler of connection `conn_id`: the response frame, or an
+  // empty string when the request was admitted to the scheduler.
+  std::string handle_frame(std::uint64_t conn_id, Connection& conn, const FrameHeader& header,
+                           std::string_view payload);
   std::string ok_frame(RequestType type, CacheSource source, const std::string& artifact);
   void crash_point();
   void push_response(std::uint64_t conn_id, std::string frame);
   void drain_completions();
   void accept_ready();
-  void close_connection(std::uint64_t conn_id);
   void enter_drain();
 
   ServeConfig config_;
@@ -184,10 +176,8 @@ class ServeServer {
   std::unique_ptr<DiskStore> disk_;  // tier 2; null when store_dir is empty
   ServeFaultInjector chaos_;
 
-  int listen_fd_ = -1;
+  Listener listener_;
   int wake_r_ = -1, wake_w_ = -1;
-  std::uint16_t resolved_port_ = 0;
-  bool owns_unix_path_ = false;
 
   std::uint64_t next_conn_id_ = 1;
   std::unordered_map<std::uint64_t, Connection> conns_;
@@ -206,8 +196,8 @@ class ServeServer {
   // from the I/O thread — each is an independent atomic tally.
   std::atomic<std::uint64_t> connections_accepted_{0}, connections_rejected_{0},
       requests_admitted_{0}, responses_ok_{0}, compute_failed_{0}, queue_full_{0},
-      too_large_{0}, protocol_violations_{0}, draining_rejected_{0}, stats_probes_{0},
-      coalesced_{0};
+      draining_rejected_{0}, stats_probes_{0}, coalesced_{0};
+  FramingCounters framing_;
 };
 
 }  // namespace bcclb

@@ -9,21 +9,35 @@
 // no transition depends on wall-clock sleeps. Active probing is disabled
 // (probe_interval_ms = 0) except where a test is about probing, so health
 // transitions happen exactly when the test performs them.
+//
+// The BothServers typed tests run the client-visible behaviour of the shared
+// connection layer (serve/conn.h) against bccd alone and against bccr in
+// front of one bccd: framing errors, the stale-socket reclaim, and drain with
+// a client that never reads.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "bcc/checkpoint.h"
 #include "common/errors.h"
 #include "serve/backend_pool.h"
 #include "serve/client.h"
+#include "serve/conn.h"
 #include "serve/router.h"
 #include "serve/server.h"
 #include "serve/wire.h"
@@ -44,6 +58,14 @@ Request classify_request(std::uint32_t n, std::uint64_t packed) {
 Request indist_request(std::uint32_t n) {
   Request r;
   r.type = RequestType::kIndistGraph;
+  r.n = n;
+  return r;
+}
+
+Request rank_request(char family, std::uint32_t n) {
+  Request r;
+  r.type = RequestType::kRank;
+  r.family = static_cast<std::uint8_t>(family);
   r.n = n;
   return r;
 }
@@ -79,6 +101,7 @@ class RunningBackend {
     thread_ = std::thread([this] { stats_ = server_.run(); });
   }
   ~RunningBackend() { stop(); }
+  ServeServer& server() { return server_; }
   std::uint16_t port() const { return server_.tcp_port(); }
   ServeStats stop() {
     if (thread_.joinable()) {
@@ -110,6 +133,7 @@ class RunningRouter {
   }
   ~RunningRouter() { stop(); }
   RouterServer& router() { return router_; }
+  std::uint16_t port() const { return router_.tcp_port(); }
   ServeClient connect() { return ServeClient::connect_tcp(router_.tcp_port()); }
   RouterStats stop() {
     if (thread_.joinable()) {
@@ -507,6 +531,284 @@ TEST(Router, DrainAnswersTypedDrainingThenExits) {
 
   const RouterStats stats = router.stop();
   EXPECT_GE(stats.draining_rejected, 1u);
+}
+
+// ---- one connection layer: bccd and bccr alike ------------------------------
+
+// The two servers on the shared connection layer, as the typed tests drive
+// them: bccd alone, or bccr in front of one bccd. A non-empty unix_path puts
+// the front on a Unix socket; otherwise it listens on an ephemeral TCP port.
+struct BccdFront {
+  explicit BccdFront(const std::string& unix_path = "") : daemon(config(unix_path)) {}
+  static ServeConfig config(const std::string& unix_path) {
+    ServeConfig config;
+    config.unix_path = unix_path;
+    return config;
+  }
+  // Binds a second server on unix_path.
+  static void bind_another(const std::string& unix_path) { ServeServer(config(unix_path)).bind(); }
+  std::uint16_t port() const { return daemon.port(); }
+  ServeClient connect() { return ServeClient::connect_tcp(port()); }
+  std::string render_stats() { return daemon.server().render_stats(); }
+  ServeStats stop() { return daemon.stop(); }
+
+  RunningBackend daemon;
+};
+
+struct BccrFront {
+  explicit BccrFront(const std::string& unix_path = "")
+      : router(config(backend.port(), unix_path)) {}
+  static RouterConfig config(std::uint16_t backend_port, const std::string& unix_path) {
+    RouterConfig config = router_config({backend_port});
+    config.unix_path = unix_path;
+    return config;
+  }
+  static void bind_another(const std::string& unix_path) {
+    RouterServer(config(0, unix_path)).bind();
+  }
+  std::uint16_t port() const { return router.port(); }
+  ServeClient connect() { return router.connect(); }
+  std::string render_stats() { return router.router().render_stats(); }
+  RouterStats stop() { return router.stop(); }
+
+  RunningBackend backend;
+  RunningRouter router;
+};
+
+struct FrontNames {
+  template <typename Front>
+  static std::string GetName(int) {
+    return std::is_same_v<Front, BccdFront> ? "bccd" : "bccr";
+  }
+};
+
+template <typename Front>
+class BothServers : public ::testing::Test {};
+using Fronts = ::testing::Types<BccdFront, BccrFront>;
+TYPED_TEST_SUITE(BothServers, Fronts, FrontNames);
+
+std::string socket_path(const char* tag) {
+  return "/tmp/bcclb_router_test_" + std::string(tag) + "_" + std::to_string(::getpid()) +
+         ".sock";
+}
+
+// A framing-valid classify request whose payload exceeds max_request_bytes (64).
+std::string oversized_frame() {
+  std::string frame;
+  frame.append(kWireMagic, sizeof kWireMagic);
+  frame.push_back(static_cast<char>(kWireVersion));
+  frame.push_back(static_cast<char>(RequestType::kClassify));
+  frame.append(2, '\0');  // status
+  const std::uint32_t len = 500;
+  for (int i = 0; i < 4; ++i) frame.push_back(static_cast<char>((len >> (8 * i)) & 0xff));
+  frame.append(len, '\x7f');
+  return frame;
+}
+
+// Writes `bytes` to 127.0.0.1:port and returns every byte the server sends
+// back until it closes the connection (or 10 s pass).
+std::string raw_exchange(std::uint16_t port, const std::string& bytes) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return {};
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  std::string reply;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0 &&
+      ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+          static_cast<ssize_t>(bytes.size())) {
+    char buf[4096];
+    ssize_t r;
+    while ((r = ::recv(fd, buf, sizeof buf, 0)) > 0) reply.append(buf, static_cast<std::size_t>(r));
+  }
+  ::close(fd);
+  return reply;
+}
+
+// The value of one `name = value` line of a stats artifact.
+std::uint64_t stat_value(const std::string& stats, const std::string& name) {
+  const std::string prefix = name + " = ";
+  const std::size_t at = stats.find("\n" + prefix);
+  if (at == std::string::npos) return 0;
+  return std::strtoull(stats.c_str() + at + 1 + prefix.size(), nullptr, 10);
+}
+
+// The front's "responses ok" once it stops growing: a client that never
+// reads has filled the unsent bound and the kernel buffers.
+template <typename Front>
+std::uint64_t wait_until_answers_stall(Front& front) {
+  std::uint64_t last = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (;;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    const std::uint64_t now = stat_value(front.render_stats(), "responses ok");
+    if ((now == last && now > 0) || std::chrono::steady_clock::now() > deadline) return now;
+    last = now;
+  }
+}
+
+// Sends `bytes` on its own thread, since the send blocks once the server
+// stops reading. Destruction shuts the write side, which ends a blocked send.
+class BackgroundSend {
+ public:
+  BackgroundSend(ServeClient& client, std::string bytes)
+      : client_(client), bytes_(std::move(bytes)), thread_([this] {
+          try {
+            client_.send_raw(bytes_);
+          } catch (const ServeError&) {
+          }
+        }) {}
+  ~BackgroundSend() {
+    client_.shutdown_write();
+    thread_.join();
+  }
+  BackgroundSend(const BackgroundSend&) = delete;
+  BackgroundSend& operator=(const BackgroundSend&) = delete;
+
+ private:
+  ServeClient& client_;
+  std::string bytes_;
+  std::thread thread_;
+};
+
+// Hits whose answers, pipelined kFrames deep, overflow the unsent bound and
+// the kernel's socket buffers several times over.
+struct PipelinedHits {
+  static constexpr std::size_t kFrames = 20000;
+  const Request pool[4] = {rank_request('M', 4), indist_request(6), rank_request('M', 5),
+                           indist_request(7)};
+  std::vector<std::string> artifacts;  // filled by warm()
+  std::string frames;
+
+  // Builds every pool artifact through `client` (cold) and the request bytes.
+  void warm(ServeClient& client) {
+    std::size_t response_bytes = 0;
+    for (const Request& request : pool) {
+      const Response cold = client.request(request);
+      ASSERT_EQ(cold.status, StatusCode::kOk);
+      artifacts.push_back(cold.artifact);
+    }
+    for (std::size_t i = 0; i < kFrames; ++i) {
+      frames += encode_request_frame(pool[i % 4]);
+      response_bytes +=
+          encode_ok_frame(pool[i % 4].type, CacheSource::kHit, 0, artifacts[i % 4]).size();
+    }
+    ASSERT_GT(response_bytes, 3 * FrameConn::kMaxUnsentBytes);
+  }
+};
+
+TYPED_TEST(BothServers, OversizedFrameIsSkippedWithoutDroppingTheConnection) {
+  TypeParam running;
+  ServeClient client = running.connect();
+  client.send_raw(oversized_frame());
+
+  const Response bounced = client.read_response();
+  EXPECT_EQ(bounced.status, StatusCode::kRequestTooLarge);
+
+  // Framing survived the skip: the next well-formed request is served.
+  const Response ok = client.request(rank_request('M', 5));
+  EXPECT_EQ(ok.status, StatusCode::kOk);
+  EXPECT_EQ(running.stop().too_large, 1u);
+}
+
+TYPED_TEST(BothServers, BadMagicGetsOneErrorFrameThenClose) {
+  TypeParam running;
+  ServeClient client = running.connect();
+  client.send_raw("GARBAGE BYTES THAT ARE NOT A FRAME");
+  const Response error = client.read_response();
+  EXPECT_EQ(error.status, StatusCode::kProtocolViolation);
+  // The stream is unrecoverable, so the server closes after the flush.
+  EXPECT_THROW(client.read_response(), ServeError);
+  EXPECT_EQ(running.stop().protocol_violations, 1u);
+}
+
+TYPED_TEST(BothServers, UnixSocketReclaimsStaleFilesAndRefusesLiveOnes) {
+  const std::string path = socket_path("reclaim");
+  // A stale leftover (regular file here; nobody accepts on it) is reclaimed.
+  { std::FILE* f = std::fopen(path.c_str(), "w"); ASSERT_NE(f, nullptr); std::fclose(f); }
+  TypeParam running(path);
+  ServeClient client = ServeClient::connect_unix(path);
+  EXPECT_EQ(client.request(rank_request('M', 4)).status, StatusCode::kOk);
+
+  // A second server on the same live socket must refuse to start.
+  EXPECT_THROW(TypeParam::bind_another(path), ServeError);
+
+  running.stop();
+  // Drain removed the socket file.
+  EXPECT_NE(::access(path.c_str(), F_OK), 0);
+}
+
+TYPED_TEST(BothServers, DrainIsBoundedWithANeverReadingClient) {
+  // A Unix socket keeps the kernel's share of the buffering near 200 KB
+  // (loopback TCP may autotune to tens of MB and hide the server's bound).
+  const std::string path = socket_path("drain");
+  TypeParam front(path);
+  ServeClient warm = ServeClient::connect_unix(path);
+  PipelinedHits hits;
+  hits.warm(warm);
+  ServeClient reader = ServeClient::connect_unix(path);
+  BackgroundSend send(reader, hits.frames);
+  wait_until_answers_stall(front);
+
+  auto stopped = std::async(std::launch::async, [&front] { front.stop(); });
+  const bool bounded = stopped.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  EXPECT_TRUE(bounded) << "run() waited on a client that never reads";
+  if (!bounded) {
+    // Read everything so an unbounded drain can still finish.
+    try {
+      for (;;) reader.read_response(/*deadline_ms=*/5000);
+    } catch (const ServeError&) {
+    }
+  }
+  stopped.wait();
+}
+
+TEST(BothServers, FramingErrorFramesAreByteIdentical) {
+  // RequestTooLarge for the oversized frame, then ProtocolViolation for the
+  // bytes that are no frame, then close.
+  const std::string malformed = oversized_frame() + "GARBAGE BYTES THAT ARE NOT A FRAME";
+  BccdFront bccd;
+  BccrFront bccr;
+  const std::string from_bccd = raw_exchange(bccd.port(), malformed);
+  ASSERT_FALSE(from_bccd.empty());
+  EXPECT_EQ(raw_exchange(bccr.port(), malformed), from_bccd);
+}
+
+TEST(Router, NeverReadingClientIsBoundedAndStillServedInOrder) {
+  const std::string path = socket_path("bound");
+  BccrFront front(path);
+  ServeClient reader = ServeClient::connect_unix(path);
+  ServeClient other = ServeClient::connect_unix(path);
+  PipelinedHits hits;
+  hits.warm(other);
+  std::uint64_t answered = 0;
+  {
+    BackgroundSend send(reader, hits.frames);
+    answered = wait_until_answers_stall(front);
+    EXPECT_LT(answered, PipelinedHits::kFrames + 4)
+        << "the router answered every frame of a client that never read";
+
+    // Meanwhile another connection is served.
+    const Response probe = other.request(hits.pool[2]);
+    ASSERT_EQ(probe.status, StatusCode::kOk);
+    EXPECT_EQ(probe.source, CacheSource::kHit);
+    EXPECT_EQ(probe.artifact, hits.artifacts[2]);
+
+    // Reading resumes the parse; every response arrives, in request order.
+    for (std::size_t i = 0; i < PipelinedHits::kFrames; ++i) {
+      const Response response = reader.read_response(/*deadline_ms=*/30000);
+      ASSERT_EQ(response.status, StatusCode::kOk) << "frame " << i;
+      ASSERT_EQ(response.source, CacheSource::kHit) << "frame " << i;
+      ASSERT_EQ(response.artifact, hits.artifacts[i % 4]) << "frame " << i;
+    }
+  }
+
+  const RouterStats stats = front.stop();
+  EXPECT_EQ(stats.responses_ok, PipelinedHits::kFrames + 5);
+  EXPECT_GE(stats.unsent_pauses, 1u);
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -38,6 +37,7 @@
 #include "serve/artifact_cache.h"
 #include "serve/chaos.h"
 #include "serve/client.h"
+#include "serve/conn.h"
 #include "serve/disk_store.h"
 #include "serve/handlers.h"
 #include "serve/loadgen.h"
@@ -874,7 +874,7 @@ TEST(ServeServer, NeverReadingClientIsBoundedAndStillServedInOrder) {
     response_bytes += encode_ok_frame(request.type, CacheSource::kHit, 0, artifacts[i % 4]).size();
   }
   // The answers must not fit in the bound plus the kernel buffers.
-  ASSERT_GT(response_bytes, 3 * ServeServer::kMaxUnsentBytes);
+  ASSERT_GT(response_bytes, 3 * FrameConn::kMaxUnsentBytes);
 
   // The send blocks once the daemon stops reading, so it runs on its own
   // thread; this thread reads nothing until the daemon has stopped. If an
@@ -921,41 +921,7 @@ TEST(ServeServer, NeverReadingClientIsBoundedAndStillServedInOrder) {
   EXPECT_EQ(stats.cache.hits, kFrames + 1);
   EXPECT_EQ(stats.cache.misses, 4u);
   EXPECT_EQ(stats.responses_ok, kFrames + 5);
-}
-
-TEST(ServeServer, OversizedFrameIsSkippedWithoutDroppingTheConnection) {
-  RunningServer running({});
-  ServeClient client = running.connect();
-
-  // A framing-valid request whose payload exceeds max_request_bytes (64).
-  std::string oversized;
-  oversized.append(kWireMagic, sizeof kWireMagic);
-  oversized.push_back(static_cast<char>(kWireVersion));
-  oversized.push_back(static_cast<char>(RequestType::kClassify));
-  oversized.append(2, '\0');  // status
-  const std::uint32_t len = 500;
-  for (int i = 0; i < 4; ++i) oversized.push_back(static_cast<char>((len >> (8 * i)) & 0xff));
-  oversized.append(len, '\x7f');
-  client.send_raw(oversized);
-
-  const Response bounced = client.read_response();
-  EXPECT_EQ(bounced.status, StatusCode::kRequestTooLarge);
-
-  // Framing survived the skip: the next well-formed request is served.
-  const Response ok = client.request(rank_request('M', 5));
-  EXPECT_EQ(ok.status, StatusCode::kOk);
-  EXPECT_EQ(running.stop().too_large, 1u);
-}
-
-TEST(ServeServer, BadMagicGetsOneErrorFrameThenClose) {
-  RunningServer running({});
-  ServeClient client = running.connect();
-  client.send_raw("GARBAGE BYTES THAT ARE NOT A FRAME");
-  const Response error = client.read_response();
-  EXPECT_EQ(error.status, StatusCode::kProtocolViolation);
-  // The stream is unrecoverable, so the server closes after the flush.
-  EXPECT_THROW(client.read_response(), ServeError);
-  EXPECT_EQ(running.stop().protocol_violations, 1u);
+  EXPECT_GE(stats.unsent_pauses, 1u);
 }
 
 TEST(ServeServer, SemanticComputeFailureIsTypedAndNonFatal) {
@@ -972,28 +938,6 @@ TEST(ServeServer, SemanticComputeFailureIsTypedAndNonFatal) {
   const ServeStats stats = running.stop();
   EXPECT_EQ(stats.compute_failed, 1u);
   EXPECT_EQ(stats.responses_ok, 1u);
-}
-
-TEST(ServeServer, UnixSocketReclaimsStaleFilesAndRefusesLiveOnes) {
-  const std::string path =
-      "/tmp/bcclb_serve_test_" + std::to_string(::getpid()) + ".sock";
-  // A stale leftover (regular file here; nobody accepts on it) is reclaimed.
-  { std::FILE* f = std::fopen(path.c_str(), "w"); ASSERT_NE(f, nullptr); std::fclose(f); }
-  ServeConfig config;
-  config.unix_path = path;
-  RunningServer running(std::move(config));
-  ServeClient client = ServeClient::connect_unix(path);
-  EXPECT_EQ(client.request(rank_request('M', 4)).status, StatusCode::kOk);
-
-  // A second daemon on the same live socket must refuse to start.
-  ServeConfig second;
-  second.unix_path = path;
-  ServeServer other(std::move(second));
-  EXPECT_THROW(other.bind(), ServeError);
-
-  running.stop();
-  // Drain removed the socket file.
-  EXPECT_NE(::access(path.c_str(), F_OK), 0);
 }
 
 // ---- durable tier + hardened client ---------------------------------------
