@@ -19,11 +19,12 @@ int main() {
   std::printf("(a) per-round bits crossing a balanced cut (n = 32)\n");
   std::printf("%3s | %12s %10s\n", "b", "bits/round", "cap n*b");
   Rng rng(51);
+  RoundEngine engine;
   const Graph g32 = random_one_cycle(32, rng).to_graph();
   for (unsigned b : {6u, 8u, 12u, 16u}) {
     const BccInstance inst = BccInstance::kt1(g32);
-    BccSimulator sim(inst, b);
-    const RunResult r = sim.run(boruvka_factory(), BoruvkaAlgorithm::max_rounds(32, b));
+    const RunResult r =
+        engine.run(inst, b, boruvka_factory(), BoruvkaAlgorithm::max_rounds(32, b));
     // Broadcast model: all n broadcasts cross any cut; per round that is at
     // most n*b bits (the "bottleneck" capacity the technique exploits).
     const double per_round = static_cast<double>(r.total_bits_broadcast) / r.rounds_executed;
@@ -35,8 +36,8 @@ int main() {
   const Graph g64 = random_one_cycle(64, rng).to_graph();
   for (unsigned b : {1u, 2u, 4u, 7u, 14u}) {
     const BccInstance inst = BccInstance::kt1(g64);
-    BccSimulator sim(inst, b);
-    const RunResult r = sim.run(boruvka_factory(), BoruvkaAlgorithm::max_rounds(64, b));
+    const RunResult r =
+        engine.run(inst, b, boruvka_factory(), BoruvkaAlgorithm::max_rounds(64, b));
     const unsigned w = 1 + 6;  // 1 flag + ceil(log2 64)
     std::printf("%3u %8u %16.2f\n", b, r.rounds_executed,
                 static_cast<double>(r.rounds_executed) * b / w);

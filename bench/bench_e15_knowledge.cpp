@@ -20,14 +20,13 @@ int main() {
               "surcharge", "correct");
 
   Rng rng(101);
+  RoundEngine engine;
   for (std::size_t n : {16u, 32u, 64u}) {
     for (unsigned b : {1u, 2u, 4u, 8u}) {
       const Graph g = random_one_cycle(n, rng).to_graph();
-      BccSimulator native(BccInstance::kt1(g), b);
-      const RunResult kt1 = native.run(boruvka_factory(), 2000);
-
-      BccSimulator boot(BccInstance::random_kt0(g, rng), b);
-      const RunResult kt0 = boot.run(kt0_bootstrap(boruvka_factory()), 2000);
+      const RunResult kt1 = engine.run(BccInstance::kt1(g), b, boruvka_factory(), 2000);
+      const RunResult kt0 =
+          engine.run(BccInstance::random_kt0(g, rng), b, kt0_bootstrap(boruvka_factory()), 2000);
 
       const unsigned surcharge = Kt0BootstrapAlgorithm::bootstrap_rounds(n, b);
       const bool correct = kt0.decision && kt1.decision &&

@@ -22,14 +22,16 @@ int main() {
               "boruvka", "lg(n)", "correct");
 
   Rng rng(151);
+  RoundEngine engine;
   for (std::size_t n : {16u, 32u, 64u, 128u}) {
     for (unsigned b : {1u, 8u}) {
       const Graph g = random_gnp(n, 1.5 / static_cast<double>(n), rng);
-      BccSimulator uni(BccInstance::kt1(g), b);
-      const RunResult u = uni.run(adjacency_exchange_factory(connectivity_predicate()),
-                                  AdjacencyExchangeAlgorithm::rounds_needed(n, b) + 1);
-      BccSimulator bor(BccInstance::kt1(g), b);
-      const RunResult r = bor.run(boruvka_factory(), BoruvkaAlgorithm::max_rounds(n, b));
+      const BccInstance inst = BccInstance::kt1(g);
+      const RunResult u =
+          engine.run(inst, b, adjacency_exchange_factory(connectivity_predicate()),
+                     AdjacencyExchangeAlgorithm::rounds_needed(n, b) + 1);
+      const RunResult r =
+          engine.run(inst, b, boruvka_factory(), BoruvkaAlgorithm::max_rounds(n, b));
       const bool ok = u.decision == is_connected(g) && r.decision == is_connected(g);
       std::printf("%4zu %3u | %10u %10u | %10u %9.1f | %8s\n", n, b, u.rounds_executed,
                   (static_cast<unsigned>(n) + b - 1) / b, r.rounds_executed,
@@ -42,9 +44,9 @@ int main() {
   for (std::size_t n : {16u, 32u, 64u}) {
     const unsigned b = 4;
     const Graph g = random_gnp(n, 0.35, rng);
-    BccSimulator sim(BccInstance::kt1(g), b);
-    const RunResult r = sim.run(adjacency_exchange_factory(k4_free_predicate()),
-                                AdjacencyExchangeAlgorithm::rounds_needed(n, b) + 1);
+    const RunResult r = engine.run(BccInstance::kt1(g), b,
+                                   adjacency_exchange_factory(k4_free_predicate()),
+                                   AdjacencyExchangeAlgorithm::rounds_needed(n, b) + 1);
     std::printf("%4zu %3u | %8u %10u | %10s\n", n, b, r.rounds_executed,
                 (static_cast<unsigned>(n) + b - 1) / b,
                 r.decision == !graph_has_k4(g) ? (r.decision ? "K4-free" : "has K4")

@@ -21,6 +21,7 @@ int main() {
   const std::size_t n = 16;
   const PublicCoins coins(5, 4096);
   Rng rng(99);
+  RoundEngine engine;
   for (const AdversaryKind kind : all_adversary_kinds()) {
     for (unsigned t : {1u, 2u, 4u}) {
       const auto factory = two_cycle_adversary_factory(kind, t, always_yes_rule());
@@ -28,8 +29,8 @@ int main() {
       for (int trial = 0; trial < 30; ++trial) {
         const auto cs = random_one_cycle(n, rng);
         const BccInstance inst = random_kt0_instance(cs, rng);
-        BccSimulator sim(inst, 1, &coins);
-        const Transcript tr = sim.run(factory, t).transcript;
+        const Transcript tr =
+            engine.run(inst, 1, factory, t, CoinSpec::public_coins(&coins)).transcript;
         const auto edges = cs.directed_edges();
         for (std::size_t a = 0; a < edges.size(); ++a) {
           for (std::size_t b = a + 1; b < edges.size(); ++b) {
@@ -40,8 +41,8 @@ int main() {
             // Sample sparsely to keep the run fast.
             if ((a * 31 + b) % 17 != 0) continue;
             const BccInstance crossed = port_preserving_crossing(inst, edges[a], edges[b]);
-            BccSimulator sim2(crossed, 1, &coins);
-            const Transcript tr2 = sim2.run(factory, t).transcript;
+            const Transcript tr2 =
+                engine.run(crossed, 1, factory, t, CoinSpec::public_coins(&coins)).transcript;
             bool identical = true;
             for (VertexId v = 0; v < n && identical; ++v) {
               identical = vertex_state_signature(inst, tr, v) ==

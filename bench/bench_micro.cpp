@@ -157,19 +157,6 @@ void BM_TiledRank(benchmark::State& state) {
 }
 BENCHMARK(BM_TiledRank)->Arg(6)->Arg(7)->Unit(benchmark::kMillisecond);
 
-void BM_SimulatorBoruvka(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(6);
-  const Graph g = random_one_cycle(n, rng).to_graph();
-  const BccInstance inst = BccInstance::kt1(g);
-  const unsigned b = 8;
-  for (auto _ : state) {
-    BccSimulator sim(inst, b);
-    benchmark::DoNotOptimize(sim.run(boruvka_factory(), BoruvkaAlgorithm::max_rounds(n, b)));
-  }
-}
-BENCHMARK(BM_SimulatorBoruvka)->Arg(16)->Arg(64)->Arg(128)->Unit(benchmark::kMicrosecond);
-
 // Seed-style reference round loop: fresh per-round message vectors, a fresh
 // per-run transcript sized to the cap, and per-vertex KT-1 table rebuilds —
 // the allocation profile RoundEngine was built to eliminate. Kept here (via

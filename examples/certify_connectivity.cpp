@@ -24,8 +24,9 @@ int main() {
   const std::size_t n = 24;
   const Graph good = random_one_cycle(n, rng).to_graph();
   const unsigned b = 6;
-  BccSimulator sim(BccInstance::kt1(good), b);
-  const RunResult run = sim.run(boruvka_factory(), BoruvkaAlgorithm::max_rounds(n, b));
+  RoundEngine engine;
+  const RunResult run = engine.run(BccInstance::kt1(good), b, boruvka_factory(),
+                                   BoruvkaAlgorithm::max_rounds(n, b));
   std::printf("\n[compute] Boruvka on a %zu-cycle at b=%u: %u rounds -> %s\n", n, b,
               run.rounds_executed, run.decision ? "CONNECTED" : "DISCONNECTED");
 

@@ -63,9 +63,9 @@ int main() {
   // same (empty) broadcast sequences, so t rounds reveal nothing.
   const unsigned t = 4;
   const auto factory = two_cycle_adversary_factory(AdversaryKind::kSilent, t, always_yes_rule());
-  BccSimulator sim1(instance, 1), sim2(crossed, 1);
-  const Transcript tr1 = sim1.run(factory, t).transcript;
-  const Transcript tr2 = sim2.run(factory, t).transcript;
+  RoundEngine engine;
+  const Transcript tr1 = engine.run(instance, 1, factory, t).transcript;
+  const Transcript tr2 = engine.run(crossed, 1, factory, t).transcript;
   std::size_t equal = 0;
   for (VertexId v = 0; v < n; ++v) {
     if (vertex_state_signature(instance, tr1, v) == vertex_state_signature(crossed, tr2, v)) {
@@ -80,9 +80,8 @@ int main() {
   // An algorithm that actually talks: the echo adversary pushes bits along
   // the cycle; crossing edges with different labels becomes detectable.
   const auto echo = two_cycle_adversary_factory(AdversaryKind::kEcho, t, always_yes_rule());
-  BccSimulator sime1(instance, 1), sime2(crossed, 1);
-  const Transcript te1 = sime1.run(echo, t).transcript;
-  const Transcript te2 = sime2.run(echo, t).transcript;
+  const Transcript te1 = engine.run(instance, 1, echo, t).transcript;
+  const Transcript te2 = engine.run(crossed, 1, echo, t).transcript;
   std::size_t echo_equal = 0;
   for (VertexId v = 0; v < n; ++v) {
     if (vertex_state_signature(instance, te1, v) == vertex_state_signature(crossed, te2, v)) {

@@ -23,11 +23,11 @@ int main() {
   // Dial 1: knowledge.
   std::printf("\n[knowledge] Boruvka on a 32-cycle, KT-1 native vs KT-0 bootstrapped:\n");
   const Graph cyc = random_one_cycle(32, rng).to_graph();
+  RoundEngine engine;
   for (unsigned b : {1u, 5u}) {
-    BccSimulator native(BccInstance::kt1(cyc), b);
-    BccSimulator boot(BccInstance::random_kt0(cyc, rng), b);
-    const auto r1 = native.run(boruvka_factory(), 2000);
-    const auto r0 = boot.run(kt0_bootstrap(boruvka_factory()), 2000);
+    const auto r1 = engine.run(BccInstance::kt1(cyc), b, boruvka_factory(), 2000);
+    const auto r0 =
+        engine.run(BccInstance::random_kt0(cyc, rng), b, kt0_bootstrap(boruvka_factory()), 2000);
     std::printf("  b=%u: KT-1 %u rounds, KT-0 %u rounds (surcharge %u)\n", b,
                 r1.rounds_executed, r0.rounds_executed,
                 r0.rounds_executed - r1.rounds_executed);

@@ -21,28 +21,28 @@ void run_all(const char* name, const Graph& input, unsigned bandwidth, std::uint
               truth ? "CONNECTED" : "DISCONNECTED");
   std::printf("  %-22s %8s %10s %8s\n", "algorithm", "rounds", "bits", "answer");
 
+  RoundEngine engine;
   {
-    BccSimulator sim(instance, bandwidth);
-    const RunResult r = sim.run(min_id_flood_factory(),
-                                MinIdFloodAlgorithm::rounds_needed(input.num_vertices()));
+    const RunResult r = engine.run(instance, bandwidth, min_id_flood_factory(),
+                                   MinIdFloodAlgorithm::rounds_needed(input.num_vertices()));
     std::printf("  %-22s %8u %10llu %8s\n", "min-id flooding", r.rounds_executed,
                 static_cast<unsigned long long>(r.total_bits_broadcast),
                 r.decision ? "YES" : "NO");
   }
   {
-    BccSimulator sim(instance, bandwidth);
-    const RunResult r = sim.run(
-        boruvka_factory(), BoruvkaAlgorithm::max_rounds(input.num_vertices(), bandwidth));
+    const RunResult r =
+        engine.run(instance, bandwidth, boruvka_factory(),
+                   BoruvkaAlgorithm::max_rounds(input.num_vertices(), bandwidth));
     std::printf("  %-22s %8u %10llu %8s\n", "boruvka broadcast", r.rounds_executed,
                 static_cast<unsigned long long>(r.total_bits_broadcast),
                 r.decision ? "YES" : "NO");
   }
   {
     const PublicCoins coins(seed, 4096);
-    BccSimulator sim(instance, bandwidth, &coins);
-    const RunResult r = sim.run(
-        sketch_connectivity_factory(),
-        SketchConnectivityAlgorithm::max_rounds(input.num_vertices(), bandwidth));
+    const RunResult r = engine.run(
+        instance, bandwidth, sketch_connectivity_factory(),
+        SketchConnectivityAlgorithm::max_rounds(input.num_vertices(), bandwidth),
+        CoinSpec::public_coins(&coins));
     std::printf("  %-22s %8u %10llu %8s\n", "agm sketches (MC)", r.rounds_executed,
                 static_cast<unsigned long long>(r.total_bits_broadcast),
                 r.decision ? "YES" : "NO");

@@ -15,7 +15,7 @@
 #include <functional>
 
 #include "bcc/algorithms/bitstream.h"
-#include "bcc/simulator.h"
+#include "bcc/round_engine.h"
 #include "graph/graph.h"
 
 namespace bcclb {

@@ -14,7 +14,7 @@
 #include <memory>
 
 #include "bcc/algorithms/bitstream.h"
-#include "bcc/simulator.h"
+#include "bcc/round_engine.h"
 #include "graph/union_find.h"
 
 namespace bcclb {

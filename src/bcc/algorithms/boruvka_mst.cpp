@@ -171,9 +171,9 @@ AlgorithmFactory boruvka_mst_factory(WeightedGraph graph) {
 
 MstRun run_boruvka_mst(const WeightedGraph& graph, unsigned bandwidth) {
   const BccInstance instance = BccInstance::kt1(graph.skeleton());
-  BccSimulator sim(instance, bandwidth);
-  MstRun out{sim.run(boruvka_mst_factory(graph),
-                     BoruvkaMstAlgorithm::max_rounds(graph.num_vertices(), bandwidth)),
+  RoundEngine engine;
+  MstRun out{engine.run(instance, bandwidth, boruvka_mst_factory(graph),
+                        BoruvkaMstAlgorithm::max_rounds(graph.num_vertices(), bandwidth)),
              {}};
   BCCLB_CHECK(!out.run.agents.empty(), "run returned no agents");
   const auto* first = dynamic_cast<const BoruvkaMstAlgorithm*>(out.run.agents.front().get());

@@ -11,7 +11,7 @@
 #pragma once
 
 #include "bcc/algorithms/bitstream.h"
-#include "bcc/simulator.h"
+#include "bcc/round_engine.h"
 #include "graph/weighted.h"
 
 namespace bcclb {

@@ -10,7 +10,7 @@
 #pragma once
 
 #include "bcc/algorithms/bitstream.h"
-#include "bcc/simulator.h"
+#include "bcc/round_engine.h"
 
 namespace bcclb {
 

@@ -9,7 +9,7 @@
 // enough to carry an ID.
 #pragma once
 
-#include "bcc/simulator.h"
+#include "bcc/round_engine.h"
 #include "bcc/soa_engine.h"
 
 namespace bcclb {

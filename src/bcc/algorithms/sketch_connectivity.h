@@ -11,7 +11,7 @@
 
 #include "bcc/algorithms/bitstream.h"
 #include "bcc/instance_view.h"
-#include "bcc/simulator.h"
+#include "bcc/round_engine.h"
 #include "sketch/graph_sketch.h"
 
 namespace bcclb {

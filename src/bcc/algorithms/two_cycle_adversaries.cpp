@@ -1,21 +1,9 @@
 #include "bcc/algorithms/two_cycle_adversaries.h"
 
 #include "common/check.h"
+#include "common/random.h"
 
 namespace bcclb {
-
-namespace {
-
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
-}  // namespace
 
 DecisionRule always_yes_rule() {
   return [](const std::vector<Message>&, const std::vector<std::vector<Message>>&) {
@@ -60,7 +48,7 @@ Message TwoCycleAdversary::broadcast(unsigned round) {
       m = Message::one_bit((view_.id >> (round % 64)) & 1);
       break;
     case AdversaryKind::kHashedId:
-      m = Message::one_bit((mix64(view_.id) >> (round % 64)) & 1);
+      m = Message::one_bit((fmix64(view_.id) >> (round % 64)) & 1);
       break;
     case AdversaryKind::kCoinXorId: {
       const bool coin = view_.coins->bit(round % view_.coins->size_bits());
@@ -89,10 +77,10 @@ Message TwoCycleAdversary::broadcast(unsigned round) {
       // Fold the full input-port history into a rolling hash; broadcast its
       // low bit. Depends only on (ID, heard-on-input-edges), so it is
       // wiring-independent like the structure-level analysis assumes.
-      std::uint64_t h = mix64(view_.id + 0x1234567ULL);
+      std::uint64_t h = fmix64(view_.id + 0x1234567ULL);
       for (const auto& round_msgs : received_) {
         for (const Message& prev : round_msgs) {
-          h = mix64(h ^ (prev.is_silent() ? 2 : (prev.bit(0) ? 1 : 0)) ^ (h << 1));
+          h = fmix64(h ^ (prev.is_silent() ? 2 : (prev.bit(0) ? 1 : 0)) ^ (h << 1));
         }
       }
       m = Message::one_bit(h & 1);

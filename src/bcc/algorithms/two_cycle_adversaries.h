@@ -12,7 +12,7 @@
 
 #include <functional>
 
-#include "bcc/simulator.h"
+#include "bcc/round_engine.h"
 
 namespace bcclb {
 

@@ -1,12 +1,11 @@
 #include "bcc/batch_runner.h"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
-#include <exception>
+#include <memory>
 #include <thread>
 #include <unordered_map>
 
-#include "common/check.h"
 #include "common/errors.h"
 #include "common/parallel.h"
 
@@ -36,9 +35,7 @@ CoalescePlan BatchRunner::for_each_coalesced(
 }
 
 BatchRunner::BatchRunner(unsigned num_threads)
-    : threads_(num_threads == 0 ? default_threads() : num_threads) {}
-
-unsigned BatchRunner::default_threads() { return default_parallel_threads(); }
+    : threads_(num_threads == 0 ? default_parallel_threads() : num_threads) {}
 
 const char* job_status_name(JobStatus status) {
   switch (status) {
@@ -56,90 +53,21 @@ std::size_t BatchReport::first_failure() const {
   return jobs.size();
 }
 
-namespace {
-
-// The one worker pool: every worker owns one Engine, reused across the jobs
-// it claims from a shared counter. Exceptions are parked at their job's
-// index and the lowest failing index is rethrown after the pool drains —
-// what a serial loop would have thrown first.
-template <class Engine>
-void pooled_for_each(unsigned threads, std::size_t count,
-                     const std::function<void(std::size_t, Engine&)>& body) {
-  if (count == 0) return;
-  const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(threads, count));
-
-  if (workers <= 1) {
-    // Inline fast path: no pool, one engine, ascending order.
-    Engine engine;
-    for (std::size_t i = 0; i < count; ++i) body(i, engine);
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::vector<std::exception_ptr> errors(count);
-  std::atomic<bool> failed{false};
-
-  auto worker = [&] {
-    Engine engine;
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      try {
-        body(i, engine);
-      } catch (...) {
-        errors[i] = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-
-  if (failed.load(std::memory_order_relaxed)) {
-    for (std::size_t i = 0; i < count; ++i) {
-      if (errors[i]) std::rethrow_exception(errors[i]);
-    }
-  }
-}
-
-struct NoEngine {};
-
-}  // namespace
-
 void BatchRunner::for_each_with_engine(
     std::size_t count, const std::function<void(std::size_t, RoundEngine&)>& body) const {
-  pooled_for_each(threads_, count, body);
-}
-
-void BatchRunner::for_each_with_soa_engine(
-    std::size_t count, const std::function<void(std::size_t, SoaRoundEngine&)>& body) const {
-  pooled_for_each(threads_, count, body);
-}
-
-std::vector<SoaRunResult> BatchRunner::run_implicit(const std::vector<SoaBatchJob>& jobs) const {
-  std::vector<SoaRunResult> results(jobs.size());
-  for_each_with_soa_engine(jobs.size(), [&](std::size_t i, SoaRoundEngine& engine) {
-    const SoaBatchJob& job = jobs[i];
-    const InstanceView view(job.spec);
-    auto program = job.factory();
-    BCCLB_CHECK(program != nullptr, "factory returned null program");
-    SoaRunOptions options;
-    if (!job.faults.empty()) options.faults = &job.faults;
-    options.deadline_ns = job.deadline_ns;
-    options.require_all_finished = job.require_all_finished;
-    options.digest_transcript = job.digest_transcript;
-    options.threads = job.soa_threads;
-    results[i] = engine.run(view, job.bandwidth, *program, job.max_rounds, options);
+  // One engine per worker, created on the worker's first job and reused for
+  // every job it claims after that.
+  std::vector<std::unique_ptr<RoundEngine>> engines(std::min<std::size_t>(threads_, count));
+  parallel_for(count, threads_, [&](unsigned worker, std::size_t i) {
+    std::unique_ptr<RoundEngine>& engine = engines[worker];
+    if (!engine) engine = std::make_unique<RoundEngine>();
+    body(i, *engine);
   });
-  return results;
 }
 
 void BatchRunner::for_each(std::size_t count,
                            const std::function<void(std::size_t)>& body) const {
-  pooled_for_each<NoEngine>(threads_, count, [&body](std::size_t i, NoEngine&) { body(i); });
+  parallel_for(count, threads_, [&body](unsigned, std::size_t i) { body(i); });
 }
 
 std::uint64_t retry_backoff_ns(const BatchPolicy& policy, std::size_t job, unsigned retry) {
@@ -186,12 +114,8 @@ std::vector<RunResult> BatchRunner::run(const std::vector<BatchJob>& jobs) const
   std::vector<RunResult> results(jobs.size());
   for_each_with_engine(jobs.size(), [&](std::size_t i, RoundEngine& engine) {
     const BatchJob& job = jobs[i];
-    RunOptions options;
-    options.coins = job.coins;
-    if (!job.faults.empty()) options.faults = &job.faults;
-    options.deadline_ns = job.deadline_ns;
-    options.require_all_finished = job.require_all_finished;
-    results[i] = engine.run(job.instance, job.bandwidth, job.factory, job.max_rounds, options);
+    results[i] = engine.run(job.instance, job.bandwidth, job.factory, job.max_rounds,
+                            options_for(job, {}, 0));
   });
   return results;
 }

@@ -2,13 +2,14 @@
 //
 // The lower-bound experiments sweep thousands of *independent* instances
 // (every crossing of an edge pair, every cycle structure, every set
-// partition). BatchRunner fans a batch of such jobs across a std::thread
-// pool in which every worker owns one reusable RoundEngine, and stores each
-// result at its job's index — so serial and parallel execution produce
-// bit-identical transcripts, decisions and bit counts in the same order, for
-// any thread count. Determinism holds because jobs share no mutable state:
-// randomness comes from per-job seeds or a read-only public-coin string, and
-// nothing about scheduling feeds back into a run.
+// partition). BatchRunner fans a batch of such jobs across the one worker
+// pool (parallel_for, common/parallel.h), in which every worker owns one
+// reusable RoundEngine, and stores each result at its job's index — so
+// serial and parallel execution produce bit-identical transcripts,
+// decisions and bit counts in the same order, for any thread count.
+// Determinism holds because jobs share no mutable state: randomness comes
+// from per-job seeds or a read-only public-coin string, and nothing about
+// scheduling feeds back into a run.
 //
 // Two failure disciplines:
 //   run()          — exceptions thrown by a job are captured and rethrown on
@@ -27,7 +28,6 @@
 #include <vector>
 
 #include "bcc/round_engine.h"
-#include "bcc/soa_engine.h"
 
 namespace bcclb {
 
@@ -59,20 +59,6 @@ struct BatchJob {
   FaultPlan faults{};               // empty = fault-free
   std::uint64_t deadline_ns = 0;    // per-job watchdog; 0 = policy default
   bool require_all_finished = false;
-};
-
-// One independent SoA run over an implicitly defined instance. The spec is
-// a few words, so a million-node sweep costs O(jobs) memory to describe.
-struct SoaBatchJob {
-  ImplicitSpec spec;
-  SoaProgramFactory factory;
-  unsigned bandwidth = 1;
-  unsigned max_rounds = 0;
-  FaultPlan faults{};             // empty = fault-free (frontier paths allowed)
-  std::uint64_t deadline_ns = 0;  // per-job watchdog; 0 = off
-  bool require_all_finished = false;
-  bool digest_transcript = false;
-  unsigned soa_threads = 1;  // reduction width inside one run
 };
 
 enum class JobStatus : std::uint8_t {
@@ -131,15 +117,11 @@ std::uint64_t retry_backoff_ns(const BatchPolicy& policy, std::size_t job, unsig
 
 class BatchRunner {
  public:
-  // 0 threads = default_threads(). The pool is created per call (the runs
-  // dwarf thread start-up for every sweep in the repository); the object is
-  // just the configured width, so it is freely copyable and shareable.
+  // 0 threads = default_parallel_threads(). The pool is created per call
+  // (the runs dwarf thread start-up for every sweep in the repository); the
+  // object is just the configured width, so it is freely copyable and
+  // shareable.
   explicit BatchRunner(unsigned num_threads = 0);
-
-  // BCCLB_THREADS environment override, else std::thread::hardware_concurrency.
-  // Malformed values (non-numeric, trailing garbage, zero, negative, or
-  // overflowing) are ignored; valid values clamp to [1, 256].
-  static unsigned default_threads();
 
   unsigned num_threads() const { return threads_; }
 
@@ -164,18 +146,6 @@ class BatchRunner {
   void for_each_with_engine(
       std::size_t count,
       const std::function<void(std::size_t, RoundEngine&)>& body) const;
-
-  // The SoA twin: each worker owns one reusable SoaRoundEngine, for sweeps
-  // over implicit (or otherwise whole-graph) instances. Same determinism
-  // contract as for_each_with_engine.
-  void for_each_with_soa_engine(
-      std::size_t count,
-      const std::function<void(std::size_t, SoaRoundEngine&)>& body) const;
-
-  // Runs every implicit job on a worker-private SoaRoundEngine; results[i]
-  // is job i's result in submission order. Rethrows the lowest-indexed
-  // failure, like run().
-  std::vector<SoaRunResult> run_implicit(const std::vector<SoaBatchJob>& jobs) const;
 
   // Coalesced fan-out: runs `body(i)` once per distinct key — for the first
   // index holding that key — in parallel, and returns the plan so the caller

@@ -161,8 +161,7 @@ class RoundEngine {
   // Current footprint of the reusable buffers, in bytes.
   std::size_t buffer_bytes() const { return loop_.buffer_bytes() + program_.state_bytes(); }
 
-  // True while a run is executing on this engine (reentrancy guard for
-  // callers that share a thread-local engine).
+  // True while a run is executing on this engine; run() is not reentrant.
   bool running() const { return loop_.running(); }
 
  private:

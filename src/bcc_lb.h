@@ -24,7 +24,6 @@
 #include "bcc/instance_view.h"                   // IWYU pragma: export
 #include "bcc/range_model.h"                     // IWYU pragma: export
 #include "bcc/round_engine.h"                    // IWYU pragma: export
-#include "bcc/simulator.h"                       // IWYU pragma: export
 #include "bcc/soa_engine.h"                      // IWYU pragma: export
 #include "bcc/transcript.h"                      // IWYU pragma: export
 #include "comm/components_protocol.h"            // IWYU pragma: export

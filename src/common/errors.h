@@ -148,11 +148,12 @@ class ResourceBudgetError : public BcclbError {
   const char* kind() const noexcept override { return "ResourceBudgetError"; }
 };
 
-// A strategy-search candidate scored better than its own Theorem 3.1
-// matching certificate allows — mathematically impossible, so the oracle (or
-// the certificate checker) is broken. The search throws this instead of
-// reporting a "discovery": the anomaly policy of DESIGN.md §11. Never
-// transient — a broken verifier must stop the campaign, not be retried.
+// A result the mathematics rules out, so the code that produced it (or its
+// checker) is broken: a strategy-search candidate that scored better than
+// its own Theorem 3.1 matching certificate allows (the search throws this
+// instead of reporting a "discovery": the anomaly policy of DESIGN.md §11),
+// or a `bcclb rank` run whose rank differs from predicted_join_rank. Never
+// transient — a broken verifier must stop the run, not be retried.
 class VerifierAnomalyError : public BcclbError {
  public:
   using BcclbError::BcclbError;

@@ -2,21 +2,9 @@
 
 #include "common/check.h"
 #include "common/mathutil.h"
+#include "common/random.h"
 
 namespace bcclb {
-
-namespace {
-
-// SplitMix64 finalizer: the repository's standard statistical mixer (see
-// common/random.h's seeding); full-avalanche on 64 bits.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 FeistelPermutation::FeistelPermutation(std::uint64_t seed, std::uint64_t size) : size_(size) {
   // Domain 2^{2k} >= size with the smallest k >= 1; 2^{2k} < 4 * size keeps
@@ -28,9 +16,9 @@ FeistelPermutation::FeistelPermutation(std::uint64_t seed, std::uint64_t size) :
   half_mask_ = (half_bits_ >= 64) ? ~0ULL : ((1ULL << half_bits_) - 1);
   // Round keys from a SplitMix64 stream over (seed, size): two permutations
   // agree iff seed and size agree.
-  std::uint64_t s = mix64(seed ^ mix64(size));
+  std::uint64_t s = splitmix64_mix(seed ^ splitmix64_mix(size));
   for (unsigned i = 0; i < kRounds; ++i) {
-    s = mix64(s);
+    s = splitmix64_mix(s);
     keys_[i] = s;
   }
 }
@@ -39,7 +27,7 @@ std::uint64_t FeistelPermutation::step(std::uint64_t x) const {
   std::uint64_t left = x >> half_bits_;
   std::uint64_t right = x & half_mask_;
   for (unsigned i = 0; i < kRounds; ++i) {
-    const std::uint64_t f = mix64(keys_[i] ^ right) & half_mask_;
+    const std::uint64_t f = splitmix64_mix(keys_[i] ^ right) & half_mask_;
     const std::uint64_t new_right = left ^ f;
     left = right;
     right = new_right;
@@ -51,7 +39,7 @@ std::uint64_t FeistelPermutation::unstep(std::uint64_t y) const {
   std::uint64_t left = y >> half_bits_;
   std::uint64_t right = y & half_mask_;
   for (unsigned i = kRounds; i-- > 0;) {
-    const std::uint64_t f = mix64(keys_[i] ^ left) & half_mask_;
+    const std::uint64_t f = splitmix64_mix(keys_[i] ^ left) & half_mask_;
     const std::uint64_t old_left = right ^ f;
     right = left;
     left = old_left;

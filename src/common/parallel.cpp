@@ -1,5 +1,7 @@
 #include "common/parallel.h"
 
+#include <algorithm>
+#include <atomic>
 #include <exception>
 #include <thread>
 #include <vector>
@@ -19,38 +21,59 @@ unsigned default_parallel_threads() {
   return hw == 0 ? 1 : hw;
 }
 
+void parallel_for(std::size_t count, unsigned threads,
+                  const std::function<void(unsigned, std::size_t)>& body) {
+  if (count == 0) return;
+  if (threads == 0) threads = default_parallel_threads();
+  const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(threads, count));
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < count; ++i) body(0, i);
+    return;
+  }
+
+  // Exceptions are parked at their index; the lowest one is rethrown once
+  // the pool has drained.
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::vector<std::exception_ptr> errors(count);
+  const auto work = [&](unsigned worker) {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      try {
+        body(worker, i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
+      }
+    }
+  };
+
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  for (unsigned w = 0; w < workers; ++w) pool.emplace_back(work, w);
+  for (std::thread& t : pool) t.join();
+
+  if (failed.load(std::memory_order_relaxed)) {
+    for (const std::exception_ptr& e : errors) {
+      if (e) std::rethrow_exception(e);
+    }
+  }
+}
+
 void parallel_for_blocks(std::size_t count, unsigned threads,
                          const std::function<void(std::size_t, std::size_t)>& body) {
   if (count == 0) return;
   if (threads == 0) threads = default_parallel_threads();
   const std::size_t workers = std::min<std::size_t>(threads, count);
-  if (workers <= 1) {
-    body(0, count);
-    return;
-  }
-
   const std::size_t base = count / workers;
   const std::size_t extra = count % workers;
-  std::vector<std::exception_ptr> errors(workers);
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  std::size_t begin = 0;
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t len = base + (w < extra ? 1 : 0);
-    const std::size_t end = begin + len;
-    pool.emplace_back([&body, &errors, w, begin, end] {
-      try {
-        body(begin, end);
-      } catch (...) {
-        errors[w] = std::current_exception();
-      }
-    });
-    begin = end;
-  }
-  for (std::thread& t : pool) t.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  // Block w starts after w full blocks plus the extras handed to the first
+  // min(w, extra) of them.
+  parallel_for(workers, static_cast<unsigned>(workers), [&](unsigned, std::size_t w) {
+    const std::size_t begin = w * base + std::min(w, extra);
+    body(begin, begin + base + (w < extra ? 1 : 0));
+  });
 }
 
 }  // namespace bcclb

@@ -13,6 +13,29 @@
 
 namespace bcclb {
 
+// The two stateless 64-bit mixers the library hashes with. Both are
+// full-avalanche bijections on 64 bits; callers depend on their exact
+// outputs (digests, shard scores, chaos byte picks), so they are pinned in
+// common_test.
+//
+// SplitMix64's finalizer applied to x + γ: SplitMix64's output for state x.
+constexpr std::uint64_t splitmix64_mix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// MurmurHash3's 64-bit finalizer (fmix64). Maps 0 to 0.
+constexpr std::uint64_t fmix64(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
 // xoshiro256** 1.0 (Blackman & Vigna), seeded via SplitMix64. Chosen over
 // std::mt19937_64 for speed and because its state is trivially copyable,
 // which makes replaying a public-coin experiment exact.

@@ -15,6 +15,7 @@
 #include "bcc/checkpoint.h"
 #include "common/check.h"
 #include "common/errors.h"
+#include "common/parallel.h"
 #include "core/decision_optimizer.h"
 #include "core/fault_tolerance.h"
 #include "core/info_engine.h"
@@ -281,7 +282,7 @@ CampaignReport CampaignRunner::run(const Campaign& campaign) const {
     }
   }
   const unsigned max_workers =
-      config_.threads != 0 ? config_.threads : BatchRunner::default_threads();
+      config_.threads != 0 ? config_.threads : default_parallel_threads();
 
   const bool on_disk = !config_.dir.empty();
   const std::string ckpt_path = on_disk ? campaign_checkpoint_path(config_.dir) : std::string();

@@ -93,7 +93,7 @@ struct CampaignConfig {
   // Checkpoint + artifact directory; empty runs fully in memory (no
   // checkpoint, no files) — the mode `--verify` uses.
   std::string dir;
-  unsigned threads = 0;                // 0 = BatchRunner::default_threads()
+  unsigned threads = 0;                // 0 = default_parallel_threads()
   std::uint64_t mem_budget_bytes = 0;  // 0 = BCCLB_MEM_BUDGET env, else unlimited
   std::uint64_t job_deadline_ns = 0;   // forwarded to every job's context
   // Resume from an existing checkpoint. A fresh run refuses to clobber a

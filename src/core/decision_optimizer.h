@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "bcc/simulator.h"
+#include "bcc/round_engine.h"
 
 namespace bcclb {
 

@@ -13,7 +13,7 @@
 #include <string>
 
 #include "bcc/instance_view.h"
-#include "bcc/simulator.h"
+#include "bcc/round_engine.h"
 #include "crossing/indistinguishability_graph.h"
 #include "graph/cycle_structure.h"
 

@@ -18,7 +18,7 @@
 
 #include "bcc/batch_runner.h"
 #include "bcc/instance_view.h"
-#include "bcc/simulator.h"
+#include "bcc/round_engine.h"
 #include "comm/protocol.h"
 #include "core/reduction.h"
 
@@ -37,7 +37,7 @@ struct Kt1SimulationResult {
 // Simulates `factory`'s algorithm on `instance` (must be KT-1) with the
 // vertex set split by `alice_hosts`. The simulation is faithful: hosted
 // vertices only ever see bits that crossed the protocol or came from
-// co-hosted vertices, and the result matches a direct BccSimulator run.
+// co-hosted vertices, and the result matches a direct RoundEngine run.
 Kt1SimulationResult simulate_kt1_two_party(const BccInstance& instance,
                                            const std::function<bool(VertexId)>& alice_hosts,
                                            const AlgorithmFactory& factory, unsigned bandwidth,

@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <string>
 
-#include "bcc/simulator.h"
+#include "bcc/round_engine.h"
 #include "graph/graph.h"
 
 namespace bcclb {

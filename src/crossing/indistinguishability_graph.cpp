@@ -4,6 +4,7 @@
 
 #include "bcc/batch_runner.h"
 #include "common/check.h"
+#include "common/random.h"
 
 namespace bcclb {
 
@@ -60,14 +61,7 @@ class PackedIndex {
   // point), so it can mark empty slots.
   static constexpr PackedStructure kEmpty = ~PackedStructure{0};
 
-  static std::size_t hash(PackedStructure x) {
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    x *= 0xc4ceb9fe1a85ec53ULL;
-    x ^= x >> 33;
-    return static_cast<std::size_t>(x);
-  }
+  static std::size_t hash(PackedStructure x) { return static_cast<std::size_t>(fmix64(x)); }
 
   void insert(PackedStructure key, std::uint32_t val) {
     std::size_t slot = hash(key) & mask_;

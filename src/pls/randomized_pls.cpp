@@ -3,24 +3,16 @@
 #include <queue>
 
 #include "common/check.h"
+#include "common/random.h"
 
 namespace bcclb {
 
 namespace {
 
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
 // c-bit public-coin hash (seed from the shared coins, so every vertex
 // evaluates the same function).
 std::uint64_t hash_c(std::uint64_t seed, std::uint64_t a, std::uint64_t b, unsigned c) {
-  return mix64(seed ^ mix64(a * 0x9e3779b97f4a7c15ULL + b)) >> (64 - c);
+  return fmix64(seed ^ fmix64(a * 0x9e3779b97f4a7c15ULL + b)) >> (64 - c);
 }
 
 struct Digest {

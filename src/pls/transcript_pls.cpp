@@ -44,8 +44,9 @@ TranscriptPls::TranscriptPls(AlgorithmFactory factory, unsigned rounds, unsigned
 }
 
 std::vector<Label> TranscriptPls::prove(const BccInstance& instance) const {
-  BccSimulator sim(instance, bandwidth_, coins_);
-  const RunResult r = sim.run(factory_, rounds_);
+  RoundEngine engine;
+  const RunResult r =
+      engine.run(instance, bandwidth_, factory_, rounds_, CoinSpec::public_coins(coins_));
   std::vector<Label> labels;
   labels.reserve(instance.num_vertices());
   for (VertexId v = 0; v < instance.num_vertices(); ++v) {

@@ -13,7 +13,7 @@
 // deterministic Ω(log n) bound.
 #pragma once
 
-#include "bcc/simulator.h"
+#include "bcc/round_engine.h"
 #include "pls/scheme.h"
 
 namespace bcclb {

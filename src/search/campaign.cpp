@@ -19,9 +19,9 @@ std::size_t estimated_cell_bytes(std::size_t n) {
   return structures * n * n * sizeof(std::uint32_t) + n * n * 64;
 }
 
-CampaignJob search_cell_job(std::uint64_t campaign_seed, SearchConfig config,
-                            std::string name) {
-  config.seed = search_job_seed(campaign_seed, name);
+// One cell as a campaign job: run_search under `config` (seed included),
+// rendered as the cell's artifact.
+CampaignJob cell_job(const SearchConfig& config, std::string name) {
   const std::size_t est = estimated_cell_bytes(config.n);
   return {std::move(name), est, [config](const CampaignJobContext& context) {
             SearchConfig cfg = config;
@@ -33,6 +33,13 @@ CampaignJob search_cell_job(std::uint64_t campaign_seed, SearchConfig config,
             out.output = render_search_artifact(cfg, outcome);
             return out;
           }};
+}
+
+// A cell of the standard campaign: its seed derives from the campaign's.
+CampaignJob search_cell_job(std::uint64_t campaign_seed, SearchConfig config,
+                            std::string name) {
+  config.seed = search_job_seed(campaign_seed, name);
+  return cell_job(config, std::move(name));
 }
 
 SearchConfig cell(std::size_t n, unsigned rounds, SearchDriver driver, std::uint32_t buckets,
@@ -84,15 +91,7 @@ Campaign single_cell_search_campaign(const SearchConfig& config) {
                 static_cast<unsigned long long>(config.budget));
   campaign.name = std::string("search-") + name;
   campaign.seed = config.seed;
-  const std::size_t est = estimated_cell_bytes(config.n);
-  campaign.jobs.push_back({name, est, [config](const CampaignJobContext& context) {
-                             SearchConfig cfg = config;
-                             cfg.threads = context.threads;
-                             const SearchOutcome outcome = run_search(cfg);
-                             CampaignJobResult out;
-                             out.output = render_search_artifact(cfg, outcome);
-                             return out;
-                           }});
+  campaign.jobs.push_back(cell_job(config, name));
   return campaign;
 }
 

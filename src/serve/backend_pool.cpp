@@ -5,23 +5,11 @@
 #include <chrono>
 
 #include "common/errors.h"
+#include "common/random.h"
 #include "serve/client.h"
 #include "serve/conn.h"
 
 namespace bcclb {
-
-namespace {
-
-// SplitMix64 finalizer: the mixing step behind rendezvous scores and probe
-// jitter. Full-avalanche, so adjacent ordinals land far apart.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 const char* backend_state_name(BackendState state) {
   switch (state) {
@@ -64,7 +52,7 @@ std::optional<BackendEndpoint> parse_backend_endpoint(std::string_view text) {
 }
 
 std::uint64_t rendezvous_score(std::uint64_t key, std::uint64_t backend_ordinal) {
-  return mix64(key ^ mix64(backend_ordinal + 1));
+  return splitmix64_mix(key ^ splitmix64_mix(backend_ordinal + 1));
 }
 
 BackendPool::BackendPool(std::vector<BackendEndpoint> endpoints, BackendPolicy policy)
@@ -204,7 +192,8 @@ void BackendPool::probe_main() {
   for (std::uint64_t pass = 0;; ++pass) {
     // Jitter the k-th sleep into [3/4, 5/4] of the interval, purely from
     // (seed, k): deterministic per router, decorrelated across routers.
-    const std::uint64_t jitter = mix64(policy_.seed ^ mix64(pass)) % (base_ns / 2 + 1);
+    const std::uint64_t jitter =
+        splitmix64_mix(policy_.seed ^ splitmix64_mix(pass)) % (base_ns / 2 + 1);
     const std::uint64_t sleep_ns = base_ns - base_ns / 4 + jitter;
     {
       std::unique_lock<std::mutex> lock(probe_mutex_);

@@ -2,21 +2,9 @@
 
 #include "common/env.h"
 #include "common/errors.h"
+#include "common/random.h"
 
 namespace bcclb {
-
-namespace {
-
-// SplitMix64 — the same mixing family the batch-runner backoff jitter and
-// Feistel round functions use; enough to decorrelate byte picks per ordinal.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 ServeFaultPlan parse_serve_fault_spec(std::string_view spec) {
   ServeFaultPlan plan;
@@ -90,7 +78,7 @@ bool ServeFaultInjector::corrupt_response(std::size_t artifact_size, std::size_t
   std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t ordinal = ++ok_responses_;
   if (ordinal % plan_.corrupt_response_every != 0) return false;
-  const std::uint64_t h = mix64(plan_.seed ^ ordinal);
+  const std::uint64_t h = splitmix64_mix(plan_.seed ^ ordinal);
   byte_index = static_cast<std::size_t>(h % artifact_size);
   mask = static_cast<unsigned char>(1u << ((h >> 32) % 8));
   ++responses_corrupted_;

@@ -63,7 +63,7 @@ struct ServeConfig {
   // with tcp_port() after bind()).
   std::string unix_path;
   std::uint16_t tcp_port = 0;
-  // Worker width for artifact builds (0 = BatchRunner::default_threads()).
+  // Worker width for artifact builds (0 = default_parallel_threads()).
   unsigned threads = 0;
   // Admission queue bound — the overload knob.
   std::size_t queue_capacity = 128;

@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/mathutil.h"
+#include "common/random.h"
 
 namespace bcclb {
 
@@ -11,17 +12,8 @@ namespace {
 
 constexpr std::uint64_t kMersenne61 = (1ULL << 61) - 1;
 
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
 std::uint64_t hash3(std::uint64_t seed, std::uint64_t copy, std::uint64_t x) {
-  return mix64(mix64(seed ^ (copy * 0x9e3779b97f4a7c15ULL)) ^ x);
+  return fmix64(fmix64(seed ^ (copy * 0x9e3779b97f4a7c15ULL)) ^ x);
 }
 
 std::uint64_t mod_mersenne61(unsigned __int128 x) {

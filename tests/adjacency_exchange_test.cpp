@@ -13,9 +13,9 @@ namespace bcclb {
 namespace {
 
 RunResult run_exchange(const Graph& g, unsigned b, GraphPredicate pred) {
-  BccSimulator sim(BccInstance::kt1(g), b);
-  return sim.run(adjacency_exchange_factory(std::move(pred)),
-                 AdjacencyExchangeAlgorithm::rounds_needed(g.num_vertices(), b) + 1);
+  RoundEngine engine;
+  return engine.run(BccInstance::kt1(g), b, adjacency_exchange_factory(std::move(pred)),
+                    AdjacencyExchangeAlgorithm::rounds_needed(g.num_vertices(), b) + 1);
 }
 
 TEST(AdjacencyExchange, ReconstructionIsExactForAnyPredicate) {
@@ -98,17 +98,16 @@ TEST(AdjacencyExchange, RequiresKt1ButBootstrapLiftsIt) {
   Rng rng(8);
   const Graph g = random_gnp(10, 0.3, rng);
   const BccInstance kt0 = BccInstance::random_kt0(g, rng);
+  RoundEngine engine;
   {
-    BccSimulator sim(kt0, 4);
-    EXPECT_THROW(sim.run(adjacency_exchange_factory(connectivity_predicate()), 10),
+    EXPECT_THROW(engine.run(kt0, 4, adjacency_exchange_factory(connectivity_predicate()), 10),
                  std::invalid_argument);
   }
   {
-    BccSimulator sim(kt0, 4);
     const RunResult r =
-        sim.run(kt0_bootstrap(adjacency_exchange_factory(connectivity_predicate())),
-                Kt0BootstrapAlgorithm::bootstrap_rounds(10, 4) +
-                    AdjacencyExchangeAlgorithm::rounds_needed(10, 4) + 1);
+        engine.run(kt0, 4, kt0_bootstrap(adjacency_exchange_factory(connectivity_predicate())),
+                   Kt0BootstrapAlgorithm::bootstrap_rounds(10, 4) +
+                       AdjacencyExchangeAlgorithm::rounds_needed(10, 4) + 1);
     EXPECT_TRUE(r.all_finished);
     EXPECT_EQ(r.decision, is_connected(g));
   }

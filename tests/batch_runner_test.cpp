@@ -17,6 +17,7 @@
 #include "bcc/algorithms/boruvka.h"
 #include "bcc/algorithms/sketch_connectivity.h"
 #include "bcc/batch_runner.h"
+#include "common/parallel.h"
 #include "common/random.h"
 #include "graph/generators.h"
 
@@ -170,31 +171,31 @@ class ThreadsEnvGuard {
   std::optional<std::string> saved_;
 };
 
-TEST(BatchRunner, DefaultThreadsHonorsAValidOverride) {
+TEST(DefaultParallelThreads, HonorsAValidOverride) {
   ThreadsEnvGuard env;
   env.set("12");
-  EXPECT_EQ(BatchRunner::default_threads(), 12u);
+  EXPECT_EQ(default_parallel_threads(), 12u);
   env.set("1");
-  EXPECT_EQ(BatchRunner::default_threads(), 1u);
+  EXPECT_EQ(default_parallel_threads(), 1u);
 }
 
-TEST(BatchRunner, DefaultThreadsClampsHugeValues) {
+TEST(DefaultParallelThreads, ClampsHugeValues) {
   ThreadsEnvGuard env;
   env.set("300");
-  EXPECT_EQ(BatchRunner::default_threads(), 256u);
+  EXPECT_EQ(default_parallel_threads(), 256u);
 }
 
-TEST(BatchRunner, DefaultThreadsIgnoresMalformedValues) {
+TEST(DefaultParallelThreads, IgnoresMalformedValues) {
   ThreadsEnvGuard env;
   env.unset();
-  const unsigned fallback = BatchRunner::default_threads();
+  const unsigned fallback = default_parallel_threads();
   EXPECT_GE(fallback, 1u);
 
   // Non-numeric, trailing garbage, empty, zero, negative, and overflowing
   // values must all fall back rather than crash or wrap around.
   for (const char* bad : {"abc", "7x", "", " 8", "0", "-3", "99999999999999999999"}) {
     env.set(bad);
-    EXPECT_EQ(BatchRunner::default_threads(), fallback) << "BCCLB_THREADS='" << bad << "'";
+    EXPECT_EQ(default_parallel_threads(), fallback) << "BCCLB_THREADS='" << bad << "'";
   }
 }
 

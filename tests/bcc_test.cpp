@@ -6,8 +6,9 @@
 #include "bcc/algorithms/two_cycle_adversaries.h"
 #include "bcc/instance.h"
 #include "bcc/message.h"
-#include "bcc/simulator.h"
+#include "bcc/round_engine.h"
 #include "bcc/transcript.h"
+#include "common/errors.h"
 #include "common/random.h"
 #include "graph/components.h"
 #include "graph/generators.h"
@@ -101,17 +102,23 @@ TEST(Simulator, BandwidthEnforced) {
   Graph g(3);
   g.add_edge(0, 1);
   const BccInstance inst = BccInstance::kt1(g);
-  BccSimulator sim(inst, 1);
-  EXPECT_THROW(sim.run([] { return std::make_unique<Greedy>(); }, 1), std::invalid_argument);
+  RoundEngine engine;
+  EXPECT_THROW(engine.run(inst, 1, [] { return std::make_unique<Greedy>(); }, 1),
+               std::invalid_argument);
+  // b itself must lie in [1, 64].
+  for (const unsigned b : {0u, 65u}) {
+    EXPECT_THROW(engine.run(inst, b, min_id_flood_factory(), 1), BandwidthViolationError)
+        << "b=" << b;
+  }
 }
 
 TEST(Simulator, TranscriptRecordsBroadcasts) {
   Rng rng(3);
   const auto cs = random_one_cycle(6, rng);
   const BccInstance inst = BccInstance::kt1(cs.to_graph());
-  BccSimulator sim(inst, 1);
-  const RunResult r = sim.run(
-      two_cycle_adversary_factory(AdversaryKind::kIdBits, 3, always_yes_rule()), 3);
+  RoundEngine engine;
+  const RunResult r = engine.run(
+      inst, 1, two_cycle_adversary_factory(AdversaryKind::kIdBits, 3, always_yes_rule()), 3);
   EXPECT_EQ(r.rounds_executed, 3u);
   EXPECT_EQ(r.transcript.num_rounds(), 3u);
   // kIdBits: vertex v broadcasts bit t of its ID (= v).
@@ -126,9 +133,9 @@ TEST(Simulator, DeterministicAcrossRuns) {
   Rng rng(4);
   const auto cs = random_one_cycle(8, rng);
   const BccInstance inst = BccInstance::kt1(cs.to_graph());
-  BccSimulator sim(inst, 4);
-  const RunResult a = sim.run(min_id_flood_factory(), 8);
-  const RunResult b = sim.run(min_id_flood_factory(), 8);
+  RoundEngine engine;
+  const RunResult a = engine.run(inst, 4, min_id_flood_factory(), 8);
+  const RunResult b = engine.run(inst, 4, min_id_flood_factory(), 8);
   EXPECT_EQ(a.decision, b.decision);
   EXPECT_EQ(a.total_bits_broadcast, b.total_bits_broadcast);
 }
@@ -139,9 +146,9 @@ TEST(Simulator, DecisionIsAndOverVertices) {
   g.add_edge(0, 1);
   g.add_edge(2, 3);
   const BccInstance inst = BccInstance::kt1(g);
-  BccSimulator sim(inst, 1);
-  const RunResult r = sim.run(
-      two_cycle_adversary_factory(AdversaryKind::kIdBits, 2, parity_rule()), 2);
+  RoundEngine engine;
+  const RunResult r = engine.run(
+      inst, 1, two_cycle_adversary_factory(AdversaryKind::kIdBits, 2, parity_rule()), 2);
   bool all = true;
   for (bool d : r.vertex_decisions) all = all && d;
   EXPECT_EQ(r.decision, all);
@@ -152,11 +159,11 @@ class FloodCorrectness : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(FloodCorrectness, MatchesBfsOnRandomSparseGraphs) {
   const std::size_t n = GetParam();
   Rng rng(n * 17 + 1);
+  RoundEngine engine;
   for (int trial = 0; trial < 8; ++trial) {
     const Graph g = random_gnp(n, 1.5 / static_cast<double>(n), rng);
-    const BccInstance inst = BccInstance::kt1(g);
-    BccSimulator sim(inst, 8);
-    const RunResult r = sim.run(min_id_flood_factory(), MinIdFloodAlgorithm::rounds_needed(n));
+    const RunResult r = engine.run(BccInstance::kt1(g), 8, min_id_flood_factory(),
+                                   MinIdFloodAlgorithm::rounds_needed(n));
     EXPECT_TRUE(r.all_finished);
     EXPECT_EQ(r.decision, is_connected(g)) << "n=" << n << " trial=" << trial;
     const auto labels = component_labels(g);
@@ -172,8 +179,9 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FloodCorrectness, ::testing::Values(4, 8, 16, 32
 TEST(Flood, RequiresAdequateBandwidth) {
   Graph g(40);
   const BccInstance inst = BccInstance::kt1(g);
-  BccSimulator sim(inst, 2);  // IDs up to 39 need 6 bits
-  EXPECT_THROW(sim.run(min_id_flood_factory(), 40), std::invalid_argument);
+  RoundEngine engine;
+  // IDs up to 39 need 6 bits.
+  EXPECT_THROW(engine.run(inst, 2, min_id_flood_factory(), 40), std::invalid_argument);
 }
 
 TEST(Flood, WorksInKt0Too) {
@@ -181,8 +189,8 @@ TEST(Flood, WorksInKt0Too) {
   Rng rng(5);
   const auto cs = random_two_cycle(10, rng);
   const BccInstance inst = BccInstance::random_kt0(cs.to_graph(), rng);
-  BccSimulator sim(inst, 4);
-  const RunResult r = sim.run(min_id_flood_factory(), 10);
+  RoundEngine engine;
+  const RunResult r = engine.run(inst, 4, min_id_flood_factory(), 10);
   EXPECT_FALSE(r.decision);  // two cycles: disconnected
 }
 
@@ -190,8 +198,8 @@ TEST(VertexStateSignature, DiffersAcrossDifferentInputs) {
   Rng rng(6);
   const auto one = random_one_cycle(7, rng);
   const BccInstance i1 = BccInstance::kt1(one.to_graph());
-  BccSimulator sim(i1, 4);
-  const RunResult r = sim.run(min_id_flood_factory(), 7);
+  RoundEngine engine;
+  const RunResult r = engine.run(i1, 4, min_id_flood_factory(), 7);
   // Same instance, same transcript: signatures are self-consistent.
   for (VertexId v = 0; v < 7; ++v) {
     EXPECT_EQ(vertex_state_signature(i1, r.transcript, v),

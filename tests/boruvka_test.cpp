@@ -14,8 +14,9 @@ namespace {
 
 RunResult run_boruvka(const Graph& g, unsigned bandwidth) {
   const BccInstance inst = BccInstance::kt1(g);
-  BccSimulator sim(inst, bandwidth);
-  return sim.run(boruvka_factory(), BoruvkaAlgorithm::max_rounds(g.num_vertices(), bandwidth));
+  RoundEngine engine;
+  return engine.run(inst, bandwidth, boruvka_factory(),
+                    BoruvkaAlgorithm::max_rounds(g.num_vertices(), bandwidth));
 }
 
 TEST(Boruvka, ConnectedCycle) {
@@ -43,8 +44,8 @@ TEST(Boruvka, RequiresKt1) {
   Rng rng(3);
   const auto cs = random_one_cycle(8, rng);
   const BccInstance inst = BccInstance::random_kt0(cs.to_graph(), rng);
-  BccSimulator sim(inst, 8);
-  EXPECT_THROW(sim.run(boruvka_factory(), 100), std::invalid_argument);
+  RoundEngine engine;
+  EXPECT_THROW(engine.run(inst, 8, boruvka_factory(), 100), std::invalid_argument);
 }
 
 struct BoruvkaCase {

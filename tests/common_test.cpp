@@ -1,5 +1,5 @@
-// Tests for the common substrate: RNG, public coins, BigUint, math helpers,
-// and the parallel_for_blocks sharding contract.
+// Tests for the common substrate: RNG, public coins, hash mixers, BigUint,
+// math helpers, and the parallel_for / parallel_for_blocks contracts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -109,6 +110,20 @@ TEST(PublicCoins, WordMatchesBits) {
   for (unsigned k = 0; k < 16; ++k) {
     EXPECT_EQ((w >> (15 - k)) & 1, static_cast<std::uint64_t>(coins.bit(3 + k)));
   }
+}
+
+// The mixers feed digests, shard scores and chaos byte picks, so their exact
+// outputs are part of the repository's behaviour.
+TEST(HashMixers, SplitMix64MixIsPinned) {
+  EXPECT_EQ(splitmix64_mix(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(splitmix64_mix(1), 0x910a2dec89025cc1ULL);
+  EXPECT_EQ(splitmix64_mix(0x0123456789abcdefULL), 0x157a3807a48faa9dULL);
+}
+
+TEST(HashMixers, Fmix64IsPinned) {
+  EXPECT_EQ(fmix64(0), 0u);
+  EXPECT_EQ(fmix64(1), 0xb456bcfc34c2cb2cULL);
+  EXPECT_EQ(fmix64(0x0123456789abcdefULL), 0x87cbfbfe89022ceaULL);
 }
 
 TEST(BigUint, SmallArithmetic) {
@@ -360,6 +375,45 @@ TEST(ParallelForBlocks, ParallelSumBitIdenticalToSerial) {
   parallel_for_blocks(count, 1, fill(serial));
   parallel_for_blocks(count, 7, fill(parallel));
   EXPECT_EQ(serial, parallel);
+}
+
+TEST(ParallelFor, EveryIndexOnceOnAWorkerBelowTheWidth) {
+  for (const unsigned threads : {1u, 3u, 8u}) {
+    std::vector<std::atomic<int>> visits(50);
+    std::atomic<unsigned> max_worker{0};
+    parallel_for(visits.size(), threads, [&](unsigned worker, std::size_t i) {
+      ++visits[i];
+      unsigned seen = max_worker.load();
+      while (worker > seen && !max_worker.compare_exchange_weak(seen, worker)) {
+      }
+    });
+    for (const auto& v : visits) EXPECT_EQ(v.load(), 1) << "threads " << threads;
+    EXPECT_LT(max_worker.load(), threads);
+  }
+}
+
+TEST(ParallelFor, RethrowsTheLowestFailingIndex) {
+  for (const unsigned threads : {1u, 4u}) {
+    try {
+      parallel_for(64, threads, [](unsigned, std::size_t i) {
+        if (i % 10 == 7) throw std::runtime_error(std::to_string(i));
+      });
+      FAIL() << "expected a throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "7") << "threads " << threads;
+    }
+  }
+}
+
+TEST(ParallelForBlocks, LowestFailingBlockWins) {
+  try {
+    parallel_for_blocks(40, 4, [](std::size_t begin, std::size_t) {
+      if (begin > 0) throw std::runtime_error(std::to_string(begin));
+    });
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "10");
+  }
 }
 
 // ---- strict env parsing (common/env.h) --------------------------------------

@@ -8,7 +8,7 @@
 #include <set>
 
 #include "bcc/algorithms/two_cycle_adversaries.h"
-#include "bcc/simulator.h"
+#include "bcc/round_engine.h"
 #include "common/mathutil.h"
 #include "common/random.h"
 #include "crossing/active_edges.h"
@@ -104,9 +104,9 @@ TEST(Crossing, Kt1KnowledgeDefeatsCrossings) {
   const BccInstance crossed = port_preserving_crossing(kt1, e1, e2);
   const auto factory =
       two_cycle_adversary_factory(AdversaryKind::kSilent, 0, always_yes_rule());
-  BccSimulator s1(kt1, 1), s2(crossed, 1);
-  const Transcript t1 = s1.run(factory, 0).transcript;
-  const Transcript t2 = s2.run(factory, 0).transcript;
+  RoundEngine engine;
+  const Transcript t1 = engine.run(kt1, 1, factory, 0).transcript;
+  const Transcript t2 = engine.run(crossed, 1, factory, 0).transcript;
   std::size_t distinguishing = 0;
   for (VertexId v = 0; v < 9; ++v) {
     if (vertex_state_signature(kt1, t1, v) != vertex_state_signature(crossed, t2, v)) {
@@ -129,12 +129,13 @@ TEST_P(Lemma34, EqualEndpointSequencesImplyIndistinguishability) {
   // independent pairs exist in most random 16-cycles.
   const unsigned t = 2;
   int verified = 0;
+  RoundEngine engine;
   for (int trial = 0; trial < 40; ++trial) {
     const auto cs = random_one_cycle(16, rng);
     const BccInstance inst = random_kt0_instance(cs, rng);
-    BccSimulator sim(inst, 1, &coins);
     const auto factory = two_cycle_adversary_factory(kind, t, always_yes_rule());
-    const Transcript tr = sim.run(factory, t).transcript;
+    const Transcript tr =
+        engine.run(inst, 1, factory, t, CoinSpec::public_coins(&coins)).transcript;
 
     // Find an independent pair whose tails broadcast the same sequence and
     // whose heads broadcast the same sequence.
@@ -146,8 +147,8 @@ TEST_P(Lemma34, EqualEndpointSequencesImplyIndistinguishability) {
         if (tr.sent_string(e1.tail) != tr.sent_string(e2.tail)) continue;
         if (tr.sent_string(e1.head) != tr.sent_string(e2.head)) continue;
         const BccInstance crossed = port_preserving_crossing(inst, e1, e2);
-        BccSimulator sim2(crossed, 1, &coins);
-        const Transcript tr2 = sim2.run(factory, t).transcript;
+        const Transcript tr2 =
+            engine.run(crossed, 1, factory, t, CoinSpec::public_coins(&coins)).transcript;
         for (VertexId v = 0; v < 16; ++v) {
           EXPECT_EQ(vertex_state_signature(inst, tr, v),
                     vertex_state_signature(crossed, tr2, v))
@@ -179,8 +180,8 @@ TEST(Lemma34, DifferentSequencesCanBeDistinguished) {
   const auto cs = random_one_cycle(8, rng);
   const BccInstance inst = canonical_kt0_instance(cs);
   const auto factory = two_cycle_adversary_factory(AdversaryKind::kIdBits, 3, always_yes_rule());
-  BccSimulator sim(inst, 1);
-  const Transcript tr = sim.run(factory, 3).transcript;
+  RoundEngine engine;
+  const Transcript tr = engine.run(inst, 1, factory, 3).transcript;
   bool found_distinguishing = false;
   const auto edges = cs.directed_edges();
   for (std::size_t a = 0; a < edges.size() && !found_distinguishing; ++a) {
@@ -189,8 +190,7 @@ TEST(Lemma34, DifferentSequencesCanBeDistinguished) {
       if (!cs.edges_independent(e1, e2)) continue;
       if (tr.sent_string(e1.tail) == tr.sent_string(e2.tail)) continue;
       const BccInstance crossed = port_preserving_crossing(inst, e1, e2);
-      BccSimulator sim2(crossed, 1);
-      const Transcript tr2 = sim2.run(factory, 3).transcript;
+      const Transcript tr2 = engine.run(crossed, 1, factory, 3).transcript;
       for (VertexId v = 0; v < 8; ++v) {
         if (vertex_state_signature(inst, tr, v) != vertex_state_signature(crossed, tr2, v)) {
           found_distinguishing = true;
@@ -207,9 +207,11 @@ TEST(ActiveEdges, ClassesPartitionAllEdges) {
   Rng rng(17);
   const auto cs = random_one_cycle(9, rng);
   const BccInstance inst = canonical_kt0_instance(cs);
-  BccSimulator sim(inst, 1);
+  RoundEngine engine;
   const Transcript tr =
-      sim.run(two_cycle_adversary_factory(AdversaryKind::kHashedId, 2, always_yes_rule()), 2)
+      engine
+          .run(inst, 1,
+               two_cycle_adversary_factory(AdversaryKind::kHashedId, 2, always_yes_rule()), 2)
           .transcript;
   const auto classes = edge_label_classes(cs, tr);
   std::size_t total = 0;
@@ -231,9 +233,11 @@ TEST(ActiveEdges, SilentAlgorithmHasOneClass) {
   Rng rng(19);
   const auto cs = random_one_cycle(7, rng);
   const BccInstance inst = canonical_kt0_instance(cs);
-  BccSimulator sim(inst, 1);
+  RoundEngine engine;
   const Transcript tr =
-      sim.run(two_cycle_adversary_factory(AdversaryKind::kSilent, 3, always_yes_rule()), 3)
+      engine
+          .run(inst, 1, two_cycle_adversary_factory(AdversaryKind::kSilent, 3, always_yes_rule()),
+               3)
           .transcript;
   const auto classes = edge_label_classes(cs, tr);
   ASSERT_EQ(classes.size(), 1u);

@@ -22,17 +22,16 @@ TEST(Bootstrap, RoundsFormula) {
 
 TEST(Bootstrap, BoruvkaRunsInKt0ViaBootstrap) {
   Rng rng(1);
+  RoundEngine engine;
   for (int trial = 0; trial < 8; ++trial) {
     const Graph g = random_gnp(12, 0.2, rng);
     // Random KT-0 wiring: the inner KT-1 algorithm cannot rely on canonical
     // port order; only the announced IDs.
     const BccInstance inst = BccInstance::random_kt0(g, rng);
     const unsigned b = 5;
-    BccSimulator sim(inst, b);
-    const RunResult r =
-        sim.run(kt0_bootstrap(boruvka_factory()),
-                Kt0BootstrapAlgorithm::bootstrap_rounds(12, b) +
-                    BoruvkaAlgorithm::max_rounds(12, b));
+    const RunResult r = engine.run(
+        inst, b, kt0_bootstrap(boruvka_factory()),
+        Kt0BootstrapAlgorithm::bootstrap_rounds(12, b) + BoruvkaAlgorithm::max_rounds(12, b));
     EXPECT_TRUE(r.all_finished);
     EXPECT_EQ(r.decision, is_connected(g)) << "trial " << trial;
     const auto labels = component_labels(g);
@@ -49,10 +48,9 @@ TEST(Bootstrap, CostMatchesAnnouncePlusInner) {
   const unsigned b = 5;  // ceil_log2(16) = 4 < b: one announcement round
   const BccInstance kt0 = BccInstance::random_kt0(g, rng);
   const BccInstance kt1 = BccInstance::kt1(g);
-  BccSimulator sim0(kt0, b), sim1(kt1, b);
-  const RunResult with_bootstrap =
-      sim0.run(kt0_bootstrap(boruvka_factory()), 100);
-  const RunResult native = sim1.run(boruvka_factory(), 100);
+  RoundEngine engine;
+  const RunResult with_bootstrap = engine.run(kt0, b, kt0_bootstrap(boruvka_factory()), 100);
+  const RunResult native = engine.run(kt1, b, boruvka_factory(), 100);
   EXPECT_EQ(with_bootstrap.rounds_executed,
             native.rounds_executed + Kt0BootstrapAlgorithm::bootstrap_rounds(16, b));
   EXPECT_EQ(with_bootstrap.decision, native.decision);
@@ -65,8 +63,8 @@ TEST(Bootstrap, NarrowBandwidthPaysLogN) {
   const std::size_t n = 32;
   const Graph g = random_one_cycle(n, rng).to_graph();
   const BccInstance kt0 = BccInstance::random_kt0(g, rng);
-  BccSimulator sim(kt0, 1);
-  const RunResult r = sim.run(kt0_bootstrap(boruvka_factory()), 500);
+  RoundEngine engine;
+  const RunResult r = engine.run(kt0, 1, kt0_bootstrap(boruvka_factory()), 500);
   EXPECT_TRUE(r.decision);
   EXPECT_GE(r.rounds_executed, ceil_log2(n));
 }
@@ -75,13 +73,13 @@ TEST(Bootstrap, SynthesizedViewMatchesNativeKt1) {
   // Decision/labels equal on many random wirings: the synthesized KT-1 view
   // is faithful regardless of port permutations.
   Rng rng(4);
+  RoundEngine engine;
   for (int trial = 0; trial < 6; ++trial) {
     const Graph g = random_gnp(10, 0.25, rng);
     const BccInstance kt0 = BccInstance::random_kt0(g, rng);
     const BccInstance kt1 = BccInstance::kt1(g);
-    BccSimulator sim0(kt0, 4), sim1(kt1, 4);
-    const RunResult a = sim0.run(kt0_bootstrap(boruvka_factory()), 300);
-    const RunResult b = sim1.run(boruvka_factory(), 300);
+    const RunResult a = engine.run(kt0, 4, kt0_bootstrap(boruvka_factory()), 300);
+    const RunResult b = engine.run(kt1, 4, boruvka_factory(), 300);
     EXPECT_EQ(a.decision, b.decision);
     for (VertexId v = 0; v < 10; ++v) EXPECT_EQ(a.labels[v], b.labels[v]);
   }
@@ -91,8 +89,9 @@ TEST(Bootstrap, RequiresSmallIds) {
   Graph g(4);
   g.add_edge(0, 1);
   const BccInstance inst(Wiring::kt1(4), g, KnowledgeMode::kKT0, {0, 1, 2, 100});
-  BccSimulator sim(inst, 4);
-  EXPECT_THROW(sim.run(kt0_bootstrap(boruvka_factory()), 10), std::invalid_argument);
+  RoundEngine engine;
+  EXPECT_THROW(engine.run(inst, 4, kt0_bootstrap(boruvka_factory()), 10),
+               std::invalid_argument);
 }
 
 TEST(Bootstrap, WorksAtBandwidthOne) {
@@ -100,8 +99,9 @@ TEST(Bootstrap, WorksAtBandwidthOne) {
   // announcement cost but the synthesized KT-1 view is still exact.
   Rng rng(5);
   const Graph g = random_two_cycle(10, rng).to_graph();
-  BccSimulator sim(BccInstance::random_kt0(g, rng), 1);
-  const RunResult r = sim.run(kt0_bootstrap(boruvka_factory()), 1000);
+  RoundEngine engine;
+  const RunResult r =
+      engine.run(BccInstance::random_kt0(g, rng), 1, kt0_bootstrap(boruvka_factory()), 1000);
   EXPECT_TRUE(r.all_finished);
   EXPECT_FALSE(r.decision);
   const auto labels = component_labels(g);
@@ -114,11 +114,12 @@ TEST(Bootstrap, ComposesWithSketches) {
   Rng rng(6);
   const Graph g = random_one_cycle(10, rng).to_graph();
   const PublicCoins coins(77, 4096);
-  BccSimulator sim(BccInstance::random_kt0(g, rng), 16, &coins);
-  const RunResult r = sim.run(
-      kt0_bootstrap(sketch_connectivity_factory()),
+  RoundEngine engine;
+  const RunResult r = engine.run(
+      BccInstance::random_kt0(g, rng), 16, kt0_bootstrap(sketch_connectivity_factory()),
       Kt0BootstrapAlgorithm::bootstrap_rounds(10, 16) +
-          SketchConnectivityAlgorithm::max_rounds(10, 16));
+          SketchConnectivityAlgorithm::max_rounds(10, 16),
+      CoinSpec::public_coins(&coins));
   EXPECT_TRUE(r.all_finished);
   EXPECT_TRUE(r.decision);
 }

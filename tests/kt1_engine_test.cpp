@@ -16,13 +16,14 @@ namespace {
 
 TEST(Kt1Simulation, MatchesDirectSimulatorRun) {
   Rng rng(1);
+  RoundEngine engine;
   for (int trial = 0; trial < 10; ++trial) {
     const Graph g = random_gnp(10, 0.2, rng);
     const BccInstance inst = BccInstance::kt1(g);
     const unsigned b = 8;
 
-    BccSimulator direct(inst, b);
-    const RunResult want = direct.run(boruvka_factory(), BoruvkaAlgorithm::max_rounds(10, b));
+    const RunResult want =
+        engine.run(inst, b, boruvka_factory(), BoruvkaAlgorithm::max_rounds(10, b));
 
     const auto sim = simulate_kt1_two_party(
         inst, [](VertexId v) { return v < 5; }, boruvka_factory(), b,

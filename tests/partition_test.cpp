@@ -1,5 +1,6 @@
 // Tests for the set-partition lattice, Bell numbers, enumeration, indexing,
-// sampling and perfect-matching partitions.
+// sampling, perfect-matching partitions, and the Dowling–Wilson
+// factorization M_n = Z·D·Zᵀ behind Theorem 2.3.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +10,7 @@
 #include "common/random.h"
 #include "partition/bell.h"
 #include "partition/enumeration.h"
+#include "partition/join_matrix.h"
 #include "partition/moebius.h"
 #include "partition/pair_partition.h"
 #include "partition/sampling.h"
@@ -317,6 +319,62 @@ TEST(Moebius, IntervalSignsAlternateByCorank) {
     const std::size_t corank = n - parts[i].num_blocks();
     const std::int64_t sign = (corank % 2 == 0) ? 1 : -1;
     EXPECT_GT(mu[i] * sign, 0) << parts[i].to_string();
+  }
+}
+
+// ---- Dowling–Wilson factorization (Theorem 2.3) -----------------------------
+
+// µ(x, 1̂) for a partition x with k blocks, in closed form: [x, 1̂] ≅ Π_k,
+// so it is µ_{Π_k}(0̂, 1̂) = (-1)^{k-1} (k-1)!.
+std::int64_t moebius_to_top(std::size_t k) {
+  std::int64_t factorial = 1;
+  for (std::size_t i = 2; i < k; ++i) factorial *= static_cast<std::int64_t>(i);
+  return k % 2 == 1 ? factorial : -factorial;
+}
+
+TEST(DowlingWilson, ClosedFormMoebiusMatchesTheLatticeRecursion) {
+  // [0̂, π] ≅ ∏ over the blocks B of π of Π_|B|, so the closed form, taken
+  // per block, must reproduce every value moebius_from_finest computes.
+  for (std::size_t n = 1; n <= 7; ++n) {
+    const auto parts = all_partitions(n);
+    const auto mu = moebius_from_finest(n);
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      std::int64_t product = 1;
+      for (const auto& block : parts[i].blocks()) product *= moebius_to_top(block.size());
+      EXPECT_EQ(mu[i], product) << parts[i].to_string();
+    }
+  }
+}
+
+TEST(DowlingWilson, JoinMatrixFactorsExactly) {
+  // M_n(P, Q) = [P ∨ Q = 1̂] = Σ_x Z[P][x] µ(x, 1̂) Z[Q][x] with
+  // Z[P][x] = [P ≤ x]: the factorization predicted_join_rank rests on.
+  for (std::size_t n = 1; n <= 7; ++n) {
+    const auto parts = all_partitions(n);
+    const std::size_t b = parts.size();
+    // Z·D·Zᵀ accumulated one column x of Z at a time: D[x] lands on every
+    // pair of partitions below x.
+    std::vector<std::int64_t> product(b * b, 0);
+    std::vector<std::size_t> below;
+    for (std::size_t x = 0; x < b; ++x) {
+      below.clear();
+      for (std::size_t p = 0; p < b; ++p) {
+        if (parts[p].refines(parts[x])) below.push_back(p);
+      }
+      const std::int64_t d = moebius_to_top(parts[x].num_blocks());
+      for (const std::size_t p : below) {
+        for (const std::size_t q : below) product[p * b + q] += d;
+      }
+    }
+    const BoolMatrix m = partition_join_matrix(n);
+    ASSERT_EQ(m.rows, b);
+    std::size_t mismatches = 0;
+    for (std::size_t p = 0; p < b; ++p) {
+      for (std::size_t q = 0; q < b; ++q) {
+        mismatches += product[p * b + q] != static_cast<std::int64_t>(m.at(p, q)) ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "n=" << n;
   }
 }
 

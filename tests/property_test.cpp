@@ -5,7 +5,7 @@
 #include <set>
 
 #include "bcc/algorithms/two_cycle_adversaries.h"
-#include "bcc/simulator.h"
+#include "bcc/round_engine.h"
 #include "common/bigint.h"
 #include "common/random.h"
 #include "comm/protocol.h"
@@ -220,22 +220,27 @@ TEST(FailureInjection, ThrowingAlgorithmPropagates) {
     bool decide() const override { return true; }
   };
   Rng rng(6);
-  BccSimulator sim(BccInstance::kt1(random_one_cycle(6, rng).to_graph()), 1);
-  EXPECT_THROW(sim.run([] { return std::make_unique<Bomb>(); }, 3), std::runtime_error);
+  const BccInstance inst = BccInstance::kt1(random_one_cycle(6, rng).to_graph());
+  RoundEngine engine;
+  EXPECT_THROW(engine.run(inst, 1, [] { return std::make_unique<Bomb>(); }, 3),
+               std::runtime_error);
 }
 
 TEST(FailureInjection, NullFactoryRejected) {
   Rng rng(7);
-  BccSimulator sim(BccInstance::kt1(random_one_cycle(6, rng).to_graph()), 1);
-  EXPECT_THROW(sim.run([]() -> std::unique_ptr<VertexAlgorithm> { return nullptr; }, 1),
-               std::logic_error);
+  const BccInstance inst = BccInstance::kt1(random_one_cycle(6, rng).to_graph());
+  RoundEngine engine;
+  EXPECT_THROW(
+      engine.run(inst, 1, []() -> std::unique_ptr<VertexAlgorithm> { return nullptr; }, 1),
+      std::logic_error);
 }
 
 TEST(FailureInjection, TruncatedTranscriptQueriesRejected) {
   Rng rng(8);
-  BccSimulator sim(BccInstance::kt1(random_one_cycle(6, rng).to_graph()), 1);
-  const RunResult r =
-      sim.run(two_cycle_adversary_factory(AdversaryKind::kSilent, 2, always_yes_rule()), 2);
+  const BccInstance inst = BccInstance::kt1(random_one_cycle(6, rng).to_graph());
+  RoundEngine engine;
+  const RunResult r = engine.run(
+      inst, 1, two_cycle_adversary_factory(AdversaryKind::kSilent, 2, always_yes_rule()), 2);
   EXPECT_THROW(r.transcript.sent(0, 2), std::invalid_argument);   // round out of range
   EXPECT_THROW(r.transcript.sent(6, 0), std::invalid_argument);   // vertex out of range
 }

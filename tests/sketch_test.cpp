@@ -147,6 +147,7 @@ TEST_P(SketchConnectivitySweep, HighSuccessRateOverSeeds) {
   const std::size_t n = GetParam();
   int correct = 0;
   const int trials = 12;
+  RoundEngine engine;
   for (int t = 0; t < trials; ++t) {
     Rng rng(1000 * n + t);
     const Graph g = (t % 2 == 0) ? random_one_cycle(n, rng).to_graph()
@@ -154,9 +155,9 @@ TEST_P(SketchConnectivitySweep, HighSuccessRateOverSeeds) {
     const bool truly = (t % 2 == 0);
     const BccInstance inst = BccInstance::kt1(g);
     const PublicCoins coins(7000 + 13 * t, 4096);
-    BccSimulator sim(inst, 16, &coins);
-    const RunResult r =
-        sim.run(sketch_connectivity_factory(), SketchConnectivityAlgorithm::max_rounds(n, 16));
+    const RunResult r = engine.run(inst, 16, sketch_connectivity_factory(),
+                                   SketchConnectivityAlgorithm::max_rounds(n, 16),
+                                   CoinSpec::public_coins(&coins));
     EXPECT_TRUE(r.all_finished);
     if (r.decision == truly) ++correct;
   }
@@ -171,9 +172,10 @@ TEST(SketchConnectivity, AllVerticesAgreeOnLabels) {
   const Graph g = random_two_cycle(14, rng).to_graph();
   const BccInstance inst = BccInstance::kt1(g);
   const PublicCoins coins(5, 4096);
-  BccSimulator sim(inst, 16, &coins);
+  RoundEngine engine;
   const RunResult r =
-      sim.run(sketch_connectivity_factory(), SketchConnectivityAlgorithm::max_rounds(14, 16));
+      engine.run(inst, 16, sketch_connectivity_factory(),
+                 SketchConnectivityAlgorithm::max_rounds(14, 16), CoinSpec::public_coins(&coins));
   // Labels must be internally consistent: same component -> same label.
   const auto truth = component_labels(g);
   std::map<VertexId, std::uint64_t> label_of_comp;
@@ -192,14 +194,14 @@ TEST(SketchConnectivity, PrivateCoinsBreakTheSharedSketches) {
   // sketches" are garbage. The Monte Carlo guarantee must visibly fail.
   int correct = 0;
   const int trials = 10;
+  RoundEngine engine;
   for (int t = 0; t < trials; ++t) {
     Rng rng(500 + t);
     const Graph g = (t % 2 == 0) ? random_one_cycle(12, rng).to_graph()
                                  : random_two_cycle(12, rng).to_graph();
-    BccSimulator sim(BccInstance::kt1(g), 16);
-    sim.use_private_coins(900 + t);
-    const RunResult r =
-        sim.run(sketch_connectivity_factory(), SketchConnectivityAlgorithm::max_rounds(12, 16));
+    const RunResult r = engine.run(BccInstance::kt1(g), 16, sketch_connectivity_factory(),
+                                   SketchConnectivityAlgorithm::max_rounds(12, 16),
+                                   CoinSpec::private_coins(900 + t));
     if (r.all_finished && r.decision == (t % 2 == 0)) ++correct;
   }
   // With working sketches this would be >= 8/10 (as the public-coin sweep
@@ -210,8 +212,8 @@ TEST(SketchConnectivity, PrivateCoinsBreakTheSharedSketches) {
 TEST(SketchConnectivity, NeedsCoins) {
   const Graph g = path_graph(6);
   const BccInstance inst = BccInstance::kt1(g);
-  BccSimulator sim(inst, 16);
-  EXPECT_THROW(sim.run(sketch_connectivity_factory(), 100), std::invalid_argument);
+  RoundEngine engine;
+  EXPECT_THROW(engine.run(inst, 16, sketch_connectivity_factory(), 100), std::invalid_argument);
 }
 
 }  // namespace

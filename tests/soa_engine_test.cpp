@@ -3,8 +3,8 @@
 // SoA program to the per-vertex reference — identical round-major
 // transcript digests, decisions, labels, and fault audit logs on every
 // instance both can run — plus the SoaBroadcasts buffer unit tests, the
-// loop's bandwidth-error context, thread invariance, BatchRunner::
-// run_implicit, and the 10^5 scale smoke.
+// loop's bandwidth-error context, thread invariance, and the 10^5 scale
+// smoke.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bcc/algorithms/min_id_flood.h"
-#include "bcc/batch_runner.h"
 #include "bcc/faults.h"
 #include "bcc/instance_view.h"
 #include "bcc/round_engine.h"
@@ -397,40 +396,6 @@ TEST(SoaScale, HundredThousandVerticesStayLinearInMemory) {
   // O(n) memory: outbox + program state together stay under 200 bytes per
   // vertex (an explicit instance's wiring alone would be 40 GB here).
   EXPECT_LT(result.stats.peak_buffer_bytes, 200u * spec.n);
-}
-
-// ---- BatchRunner ------------------------------------------------------------
-
-TEST(SoaBatch, RunImplicitIsThreadCountInvariantAndMatchesSerialEngine) {
-  std::vector<SoaBatchJob> jobs;
-  for (const ImplicitSpec& spec : equivalence_specs()) {
-    SoaBatchJob job;
-    job.spec = spec;
-    job.factory = soa_min_id_flood_factory();
-    job.bandwidth = flood_bandwidth(spec.n);
-    job.max_rounds = SoaMinIdFlood::rounds_needed(spec.n);
-    job.digest_transcript = true;
-    jobs.push_back(std::move(job));
-  }
-
-  const std::vector<SoaRunResult> serial = BatchRunner(1).run_implicit(jobs);
-  const std::vector<SoaRunResult> parallel = BatchRunner(4).run_implicit(jobs);
-  ASSERT_EQ(serial.size(), jobs.size());
-  ASSERT_EQ(parallel.size(), jobs.size());
-
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const std::string context = context_of(jobs[i].spec);
-    // Batch output matches a hand-driven engine on the same spec...
-    const SoaOutcome direct = run_soa(InstanceView(jobs[i].spec), jobs[i].bandwidth, 1, nullptr);
-    EXPECT_EQ(serial[i].transcript_digest, direct.result.transcript_digest) << context;
-    EXPECT_EQ(serial[i].labels_digest, direct.result.labels_digest) << context;
-    EXPECT_EQ(serial[i].decision, direct.result.decision) << context;
-    // ...and is invariant under the worker pool width.
-    EXPECT_EQ(parallel[i].transcript_digest, serial[i].transcript_digest) << context;
-    EXPECT_EQ(parallel[i].labels_digest, serial[i].labels_digest) << context;
-    EXPECT_EQ(parallel[i].rounds_executed, serial[i].rounds_executed) << context;
-    EXPECT_EQ(parallel[i].total_bits_broadcast, serial[i].total_bits_broadcast) << context;
-  }
 }
 
 }  // namespace

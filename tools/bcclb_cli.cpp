@@ -297,11 +297,22 @@ int cmd_rank_tiled(int argc, char** argv) {
                 config.tile_rows, report.tiles_total, report.rank,
                 report.full_rank ? "yes" : "no", report.certificate_digest.c_str());
   std::fputs(certificate, stdout);
+  // rank_p(M_n) = Σ_{k ≤ min(p, n)} S(n, k) by the Dowling–Wilson
+  // factorization M_n = Z·D·Zᵀ; an elimination that disagrees is broken.
+  const std::uint64_t p = config.field == RankField::kModp ? config.prime : 2;
+  const std::uint64_t predicted = predicted_join_rank(config.n, p);
   std::printf(
       "tiles run %zu, resumed %zu; segments read %zu, skipped %zu; peak resident %.1f MiB; "
-      "wall %.3f s\n",
+      "predicted rank %llu; wall %.3f s\n",
       report.tiles_run, report.tiles_resumed, report.segments_read, report.segments_skipped,
-      static_cast<double>(report.peak_resident_bytes) / (1024.0 * 1024.0), wall_s);
+      static_cast<double>(report.peak_resident_bytes) / (1024.0 * 1024.0),
+      static_cast<unsigned long long>(predicted), wall_s);
+  if (report.rank != predicted) {
+    throw VerifierAnomalyError("rank of M_" + std::to_string(config.n) + " mod " +
+                               std::to_string(p) + " is " + std::to_string(report.rank) +
+                               " but predicted_join_rank gives " + std::to_string(predicted) +
+                               "; rank.txt not written");
+  }
   if (!config.dir.empty()) {
     const std::string path = config.dir + "/rank.txt";
     write_file_atomic(path, certificate);
