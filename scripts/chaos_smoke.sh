@@ -102,7 +102,7 @@ assert_json "$WORK/kill.json" "s['byte_mismatches'] == 0 and s['digest_mismatche
 assert_json "$WORK/kill.json" "s['disk_hits'] > 0"
 assert_json "$WORK/kill.json" "s['retries'] > 0 and s['reconnects'] > 0"
 drain_daemon "$WORK/daemon_b2.log"
-grep -Eq "disk: [1-9][0-9]* hits" "$WORK/daemon_b2.log" || {
+grep -Eq "^disk hits = [1-9]" "$WORK/daemon_b2.log" || {
   echo "FAIL: restarted daemon reported no disk hits" >&2
   cat "$WORK/daemon_b2.log" >&2
   exit 1
@@ -130,7 +130,7 @@ start_daemon "$WORK/daemon_c.log"
 assert_json "$WORK/rot.json" "s['byte_mismatches'] == 0 and s['digest_mismatches'] == 0"
 assert_json "$WORK/rot.json" "s['disk_hits'] == 0"  # nothing rotten was served
 drain_daemon "$WORK/daemon_c.log"
-grep -Eq "disk: .* [1-9][0-9]* quarantined" "$WORK/daemon_c.log" || {
+grep -Eq "^disk quarantined = [1-9]" "$WORK/daemon_c.log" || {
   echo "FAIL: corrupted entries were not quarantined" >&2
   cat "$WORK/daemon_c.log" >&2
   exit 1

@@ -722,6 +722,16 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
   if (cfg.tile_rows < 1) {
     throw RangeViolationError("tiled rank: tile-rows must be at least 1");
   }
+  // Fermat inverses need a prime modulus. Trial division up to sqrt(2^30);
+  // the eliminator refuses anything larger.
+  if (cfg.field == RankField::kModp && cfg.prime < (1ULL << 30)) {
+    bool prime = cfg.prime >= 2;
+    for (std::uint64_t d = 2; prime && d * d <= cfg.prime; ++d) prime = cfg.prime % d != 0;
+    if (!prime) {
+      throw RangeViolationError("tiled rank: modulus " + std::to_string(cfg.prime) +
+                                " is not prime");
+    }
+  }
   TileEliminator eliminator(cfg.field, cfg.prime, dimension, cfg.threads);
   const std::size_t K = cfg.tile_rows;
   const std::size_t words = (dimension + 63) / 64;

@@ -61,7 +61,7 @@ bad() { expect 2 "$@"; }
 # has <regex>: the last command's stdout has a matching line.
 has() { grep -Eq -- "$1" <<<"$OUT" || fail "$LAST: stdout lacks /$1/"; }
 hasnt() { ! grep -Eq -- "$1" <<<"$OUT" || fail "$LAST: stdout has /$1/"; }
-file_has() { grep -Eq -- "$2" "$1" 2>/dev/null || fail "$LAST: $1 lacks /$2/"; }
+file_has() { grep -Eq -- "$2" "$1" 2>/dev/null || fail "$1 lacks /$2/"; }
 
 # start <log> <banner> <args…>: starts a daemon in the background and waits
 # up to 10 s for its listening banner.
@@ -82,40 +82,59 @@ start() {
 
 # ---------------------------------------------------------------- dispatch
 bad
+grep -q '^usage: bcclb' <<<"$ERR" || fail "bare bcclb printed no usage on stderr"
 bad bogus-command
+ok help
+has '^usage: bcclb'
+has '^  loadgen \(--socket <path> \| --port <p>\)'
+[ -z "$ERR" ] || fail "bcclb help wrote to stderr"
+ok --help
+has '^usage: bcclb'
 
 # ------------------------------------------------------ positional commands
 ok counts 12
 has '^\|V1\|'
 bad counts abc
 bad counts
+# Numbers are plain digits: no sign, no leading space.
+bad counts +7
+bad counts ' 7'
+# Extra positional arguments are refused, not dropped.
+bad counts 12 extra
 
 ok star 6 1 silent
 has 'forced error'
 bad star 8 2 bogus
 bad star 6 x silent
+bad star 6 1 silent extra
 
 ok kt0 6 1 silent
 has 'max matching'
 bad kt0 6 1 bogus
+bad kt0 6 1 silent extra
 
 ok rules 6 1 silent
 has 'greedy-optimized'
 bad rules x 1 silent
+bad rules 6 1 silent extra
 
 ok rank 5
 has '^rank\(M_5\)'
 bad rank x
+bad rank 5 extra
 
 ok info 6
 ok info 6 0.5
 has 'Theorem 4.5'
 bad info 6 0.5x
+bad info 6 nan
+bad info 6 0.5 extra
 
 ok reduce 7
 ok reduce 7 3
 has '^PA v PB'
 bad reduce 8 99999999999999999999
+bad reduce 7 3 extra
 
 ok upper 16 6
 has 'boruvka'
@@ -123,16 +142,20 @@ bad upper 16 7x
 bad upper 16 -3
 # A library refusal surfaces as a typed error, exit 1.
 expect 1 upper 16 99
+bad upper 16 6 1 extra
 
 ok bfs 20 0.3
 ok bfs 20 0.3 5
 has 'CONGEST BFS'
 bad bfs 20 x
+bad bfs 20 inf
+bad bfs 20 0.3 5 extra
 
 ok faults 12 6
 ok faults 10 6 3
 has 'seed=3'
 bad faults 12 x
+bad faults 12 6 1 extra
 
 ok campaign "$WORK/camp"
 has '^campaign complete'
@@ -140,6 +163,9 @@ ok campaign --resume "$WORK/camp"
 has '\[resumed\]'
 bad campaign "$WORK/camp2" 1x
 bad campaign --resume
+bad campaign "$WORK/camp2" 1 extra
+bad campaign --resume "$WORK/camp" 1 extra
+bad campaign --verify "$WORK/g.json" extra
 expect 1 campaign --verify "$WORK/no-such-golden.json"
 
 # ------------------------------------------------------------ rank --n N …
@@ -156,6 +182,10 @@ has 'tiles run 0, resumed 4'
 ok rank --n 5 --field gf2
 has '^field gf2$'
 has '^prime 0$'
+# A composite modulus is refused before any elimination.
+expect 1 rank --n 5 --field modp --prime 4
+hasnt '^certificate'
+grep -q 'not prime' <<<"$ERR" || fail "rank --prime 4 did not say why it failed"
 bad rank --n x
 bad rank --n
 bad rank --field modp
@@ -276,6 +306,8 @@ bad loadgen --socket "$SOCK" --deadline-ms x
 bad loadgen --socket "$SOCK" --backoff-ms 0
 bad loadgen --socket "$SOCK" --zipf -1
 bad loadgen --socket "$SOCK" --zipf x
+bad loadgen --socket "$SOCK" --zipf nan
+bad loadgen --socket "$SOCK" --zipf inf
 bad loadgen --socket "$SOCK" --json ''
 bad loadgen --socket "$SOCK" --router yes
 
@@ -287,7 +319,7 @@ start "$WORK/route.log" "bccr listening on unix:.* across 2 backend" route --soc
   --max-connections 4 --seed 3
 ok probe --socket "$RSOCK"
 has '^backends = 2$'
-ok loadgen --socket "$RSOCK" --router --requests 4 --max-n 4
+ok loadgen --socket "$RSOCK" --router --requests 4 --concurrency 2 --max-n 4
 has '"router": true'
 start "$WORK/route_tcp.log" "bccr listening on tcp:.* across 1 backend" route --port 0 \
   --backend "unix:$SOCK"
@@ -309,7 +341,7 @@ bad "${RT[@]}" --bogus 1
 
 # ------------------------------------------------------------------- drain
 # stop <index> <log> <banner>: SIGTERMs a daemon started by start(), which
-# must exit 0 after printing <banner>.
+# must exit 0 after printing <banner>, followed by its kStats text.
 stop() {
   local pid="${pids[$1]}" rc=0
   kill -TERM "$pid"
@@ -321,6 +353,10 @@ stop 3 "$WORK/route_tcp.log" "^bccr drained"
 stop 2 "$WORK/route.log" "^bccr drained"
 stop 1 "$WORK/serve_tcp.log" "^bccd drained"
 stop 0 "$WORK/serve.log" "^bccd drained"
+file_has "$WORK/route.log" '^requests routed = [1-9]'
+file_has "$WORK/route.log" '^backend 1 tcp:'
+file_has "$WORK/serve.log" '^queue capacity = 17$'
+file_has "$WORK/serve.log" '^disk writes = [1-9]'
 pids=()
 
 if [ "$failures" -ne 0 ]; then

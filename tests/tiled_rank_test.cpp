@@ -279,6 +279,27 @@ TEST(TiledRank, CheckpointedRunResumesBitIdentical) {
   EXPECT_EQ(again.certificate_digest, uninterrupted.certificate_digest);
 }
 
+// modp_inverse is a Fermat inverse, wrong for a composite modulus, so a run
+// with one is refused before any tile is eliminated. GF(2) ignores it.
+TEST(TiledRank, RefusesCompositeModulus) {
+  TiledRankConfig cfg = base_config(5, RankField::kModp, 13);
+  // 32749 is the largest prime below 2^15, so its square needs the full
+  // trial division up to sqrt(2^30).
+  const std::uint64_t composites[] = {0, 1, 4, 9, 1001, 32749ULL * 32749ULL};
+  for (std::uint64_t m : composites) {
+    cfg.prime = m;
+    EXPECT_THROW(tiled_partition_rank(cfg), RangeViolationError) << "modulus " << m;
+  }
+  const std::uint64_t primes[] = {2, 7, 32749, kPrime30A, kPrime30B};
+  for (std::uint64_t p : primes) {
+    cfg.prime = p;
+    EXPECT_EQ(tiled_partition_rank(cfg).rank, predicted_join_rank(5, p)) << "prime " << p;
+  }
+  cfg.field = RankField::kGf2;
+  cfg.prime = 4;
+  EXPECT_EQ(tiled_partition_rank(cfg).rank, predicted_join_rank(5, 2));
+}
+
 TEST(TiledRank, RefusesToClobberAndRequiresCheckpointForResume) {
   const std::string dir = test_dir();
   TiledRankConfig cfg = base_config(5, RankField::kGf2, 13);

@@ -6,6 +6,7 @@
 //   kt0 <n> <t> <adversary>    Theorem 3.1 matching experiment (n <= 9)
 //   rules <n> <t> <adversary>  E17 decision-rule optimization (n <= 9)
 //   rank <n>                   Theorem 2.3 / Lemma 4.1 join-matrix ranks
+//   rank --n N …               out-of-core tiled rank certificate of M_n
 //   info <n> [keep]            Theorem 4.5 information experiment (n <= 10)
 //   reduce <n> [seed]          Figure 2 pipeline on random partitions
 //   upper <n> <b> [seed]       tightness sweep (flood / Boruvka / sketches)
@@ -20,27 +21,49 @@
 //   route …                    shard router fronting N serve daemons
 //   probe …                    one-shot stats round trip (prints the artifact)
 //   loadgen …                  seeded load generator against a running daemon
+//   help                       the synopsis, on stdout
 //   version                    git describe baked in at configure time
 //
-// Argument parsing is strict: every numeric argument must be a whole,
-// in-range number or the command refuses with usage (exit 2); unknown
-// subcommands and unknown flags do the same. Errors out
-// of the library surface as typed BcclbError with kind + context; anything
-// else is a plain std::exception. No helper calls std::exit — all exits
-// flow through main.
+// Parsing. Each positional command has an argument-count range in
+// kPositional. Each flag command (rank --n, search, sim, serve, route,
+// probe, loadgen) describes its flags in one table, the std::vector<Flag>
+// that its <cmd>_flags() builds: the flag, its usage placeholder, a setter
+// that parses into the target field and checks the bounds, the arity
+// (value, switch, optional value, repeated) and whether the flag is
+// required. parse_flags() walks argv against the table and usage() renders
+// the same table, so the parser and the help text cannot drift apart.
+// Rules that span several flags (--resume needs --dir, --verify excludes
+// the cell flags) are plain code after the parse.
+//
+// Numbers are plain decimal digits: parse_env_u64 (common/env.h) refuses
+// signs, spaces and overflow, and the row's bounds narrow the value to its
+// field's type. Byte sizes go through parse_mem_bytes; doubles must be
+// finite. A malformed command line throws UsageError, which main turns into
+// the reason, the usage text and exit 2. Errors out of the library surface
+// as typed BcclbError with kind + context (exit 1); anything else is a
+// plain std::exception. No helper calls std::exit — all exits flow through
+// main.
 //
 // SIGINT/SIGTERM during a campaign set a sig_atomic_t flag the runner polls
 // between job batches: the run flushes a final checkpoint, prints the resume
 // command, and exits 130 instead of dying dirty.
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bcc_lb.h"
 #include "common/mathutil.h"
@@ -49,37 +72,205 @@ using namespace bcclb;
 
 namespace {
 
-// Strict whole-string parse helpers. Reject empty strings, trailing junk
-// ("7x"), out-of-range values, and (for the unsigned parsers) negatives —
-// strtoul would silently wrap "-3" to a huge value.
-std::optional<std::uint64_t> parse_u64(const char* s) {
-  if (s == nullptr || *s == '\0' || *s == '-') return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) return std::nullopt;
-  return static_cast<std::uint64_t>(value);
+// A malformed command line. main prints the reason (when there is one), the
+// usage text, and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+int usage(std::FILE* out = stderr);
+
+// A whole decimal number no larger than `hi`, through the strict
+// parse_env_u64 (digits only: no sign, no spaces, no overflow).
+std::optional<std::uint64_t> parse_uint(const char* s, std::uint64_t hi) {
+  const auto value = parse_env_u64(s);
+  if (!value || *value > hi) return std::nullopt;
+  return value;
 }
 
-std::optional<std::size_t> parse_size(const char* s) {
-  const auto v = parse_u64(s);
-  if (!v || static_cast<std::uint64_t>(static_cast<std::size_t>(*v)) != *v) return std::nullopt;
-  return static_cast<std::size_t>(*v);
-}
-
-std::optional<unsigned> parse_unsigned(const char* s) {
-  const auto v = parse_u64(s);
-  if (!v || static_cast<std::uint64_t>(static_cast<unsigned>(*v)) != *v) return std::nullopt;
-  return static_cast<unsigned>(*v);
-}
-
+// A whole-string finite double ("nan" and "inf" are refused).
 std::optional<double> parse_double(const char* s) {
   if (s == nullptr || *s == '\0') return std::nullopt;
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(s, &end);
-  if (end == s || *end != '\0' || errno == ERANGE) return std::nullopt;
+  if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(value)) return std::nullopt;
   return value;
+}
+
+// ---- Flag tables -----------------------------------------------------------
+
+// What a flag takes after its name.
+enum class Arity {
+  kValue,          // exactly one value
+  kSwitch,         // nothing
+  kOptionalValue,  // the next argument, unless it starts with '-'
+  kRepeated,       // one value, and the flag may be given again
+};
+
+// Whether a flag must be given. The kOneOf rows of a table form one group
+// of which at least one must appear (--socket | --port).
+enum class Need { kOptional, kRequired, kOneOf };
+
+struct Flag {
+  const char* name;
+  const char* meta;  // the value's placeholder in the usage text
+  // Parses the value (nullptr for a switch or an absent optional value) into
+  // the target field; false when it is malformed or out of bounds.
+  std::function<bool(const char*)> set;
+  Arity arity = Arity::kValue;
+  Need need = Need::kOptional;
+};
+
+// An integer flag bounded to [lo, hi]; hi defaults to the target's range.
+template <class T>
+Flag uint_flag(const char* name, const char* meta, T& target, std::uint64_t lo = 0,
+               std::uint64_t hi = std::numeric_limits<T>::max()) {
+  return {name, meta, [&target, lo, hi](const char* text) {
+            const auto value = parse_uint(text, hi);
+            if (!value || *value < lo) return false;
+            target = static_cast<T>(*value);
+            return true;
+          }};
+}
+
+// A flag whose value goes through `parse` (an enum or byte-size parser).
+template <class T, class Parse>
+Flag parsed_flag(const char* name, const char* meta, T& target, Parse parse) {
+  return {name, meta, [&target, parse](const char* text) {
+            const auto value = parse(text);
+            if (value) target = *value;
+            return value.has_value();
+          }};
+}
+
+// A non-empty string flag (a path); T is std::string or const char*.
+template <class T>
+Flag text_flag(const char* name, const char* meta, T& target) {
+  return {name, meta, [&target](const char* text) {
+            if (*text == '\0') return false;
+            target = text;
+            return true;
+          }};
+}
+
+Flag switch_flag(const char* name, bool& target) {
+  return {name, nullptr,
+          [&target](const char*) {
+            target = true;
+            return true;
+          },
+          Arity::kSwitch};
+}
+
+Flag required(Flag row) {
+  row.need = Need::kRequired;
+  return row;
+}
+
+Flag one_of(Flag row) {
+  row.need = Need::kOneOf;
+  return row;
+}
+
+// `row`, also recording in `seen` that it was given.
+Flag noting(Flag row, bool& seen) {
+  row.set = [set = std::move(row.set), &seen](const char* text) {
+    seen = true;
+    return set(text);
+  };
+  return row;
+}
+
+// Walks argv[2..] against `rows`. `positional`, when given, takes the one
+// argument that names no flag. Throws UsageError naming the first problem:
+// an unknown argument, a missing or malformed value, a missing required
+// flag, or no flag of the kOneOf group.
+void parse_flags(const char* cmd, const std::vector<Flag>& rows, int argc, char** argv,
+                 const char** positional = nullptr) {
+  const std::string where = std::string("bcclb ") + cmd + ": ";
+  std::vector<bool> given(rows.size(), false);
+  for (int i = 2; i < argc; ++i) {
+    const char* arg = argv[i];
+    const auto row = std::find_if(rows.begin(), rows.end(),
+                                  [arg](const Flag& f) { return std::strcmp(f.name, arg) == 0; });
+    if (row == rows.end()) {
+      if (positional != nullptr && *positional == nullptr && arg[0] != '-' && arg[0] != '\0') {
+        *positional = arg;
+        continue;
+      }
+      throw UsageError(where + "unexpected argument '" + arg + "'");
+    }
+    given[static_cast<std::size_t>(row - rows.begin())] = true;
+    const char* value = nullptr;
+    if (row->arity == Arity::kOptionalValue) {
+      if (i + 1 < argc && argv[i + 1][0] != '-') value = argv[++i];
+    } else if (row->arity != Arity::kSwitch) {
+      if (i + 1 == argc) throw UsageError(where + row->name + " needs a value");
+      value = argv[++i];
+    }
+    if (!row->set(value)) {
+      throw UsageError(where + "bad value '" + value + "' for " + row->name + " " + row->meta);
+    }
+  }
+  std::string group;
+  bool group_given = false;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    if (rows[r].need == Need::kRequired && !given[r]) {
+      throw UsageError(where + "missing " + rows[r].name);
+    }
+    if (rows[r].need == Need::kOneOf) {
+      group += std::string(" ") + rows[r].name;
+      group_given = group_given || given[r];
+    }
+  }
+  if (!group.empty() && !group_given) throw UsageError(where + "needs one of" + group);
+}
+
+// The usage lines of one flag table: the command, then `lead` and each row
+// in table order (optional rows bracketed, the kOneOf group as "(a | b)"),
+// wrapped at 80 columns under a 10-column command field.
+template <class Args>
+std::string synopsis(const char* cmd, std::vector<Flag> (*table)(Args&),
+                     const char* lead = nullptr) {
+  Args unused;
+  std::vector<std::string> words;
+  if (lead != nullptr) words.emplace_back(lead);
+  std::string group;
+  for (const Flag& row : table(unused)) {
+    std::string word = row.name;
+    if (row.arity == Arity::kOptionalValue) {
+      word += std::string(" [") + row.meta + "]";
+    } else if (row.arity != Arity::kSwitch) {
+      word += std::string(" ") + row.meta;
+    }
+    if (row.arity == Arity::kRepeated) word += " ...";
+    if (row.need == Need::kOneOf) {
+      group += (group.empty() ? "(" : " | ") + word;
+      continue;
+    }
+    if (!group.empty()) words.push_back(std::exchange(group, "") + ")");
+    words.push_back(row.need == Need::kRequired ? word : "[" + word + "]");
+  }
+  if (!group.empty()) words.push_back(group + ")");
+
+  constexpr std::size_t kIndent = 10, kWidth = 80;
+  std::string out = "  " + std::string(cmd);
+  out.resize(kIndent, ' ');
+  std::size_t column = kIndent;
+  for (const std::string& word : words) {
+    if (column > kIndent && column + 1 + word.size() > kWidth) {
+      out += '\n';
+      out.append(kIndent, ' ');
+      column = kIndent;
+    } else if (column > kIndent) {
+      out += ' ';
+      ++column;
+    }
+    out += word;
+    column += word.size();
+  }
+  return out + "\n";
 }
 
 // Returns nullopt (rather than exiting) on an unknown name; the caller
@@ -161,8 +352,6 @@ int cmd_rank(std::size_t n) {
   return 0;
 }
 
-int usage();
-
 // Set by the SIGINT/SIGTERM handler, polled by CampaignRunner between job
 // batches and by the tiled rank engine between tiles. sig_atomic_t is the
 // only type async-signal-safe to write from a handler; everything else
@@ -172,62 +361,26 @@ volatile std::sig_atomic_t g_interrupted = 0;
 
 extern "C" void on_campaign_signal(int) { g_interrupted = 1; }
 
+std::vector<Flag> rank_flags(TiledRankConfig& c) {
+  return {required(uint_flag("--n", "N", c.n)),
+          parsed_flag("--field", "gf2|modp", c.field, parse_rank_field),
+          uint_flag("--tile-rows", "K", c.tile_rows, 1),
+          text_flag("--dir", "D", c.dir),
+          switch_flag("--resume", c.resume),
+          uint_flag("--threads", "T", c.threads),
+          uint_flag("--prime", "P", c.prime),
+          parsed_flag("--mem-budget", "BYTES", c.mem_budget_bytes, parse_mem_bytes)};
+}
+
 // Flag-based `rank --n N …`: the out-of-core tiled elimination
 // (linalg/tiled_rank.h). Streams M_n tile by tile, checkpoints into --dir,
 // and prints/writes a rank certificate whose digest is bit-identical across
 // thread counts and across SIGKILL + --resume.
 int cmd_rank_tiled(int argc, char** argv) {
   TiledRankConfig config;
-  std::optional<std::size_t> n;
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (flag == "--n") {
-      n = parse_size(next());
-      if (!n) return usage();
-    } else if (flag == "--field") {
-      const char* value = next();
-      if (value == nullptr) return usage();
-      const auto field = parse_rank_field(value);
-      if (!field) {
-        std::fprintf(stderr, "unknown field '%s'; options: gf2 modp\n", value);
-        return usage();
-      }
-      config.field = *field;
-    } else if (flag == "--prime") {
-      const auto p = parse_u64(next());
-      if (!p) return usage();
-      config.prime = *p;
-    } else if (flag == "--tile-rows") {
-      const auto k = parse_size(next());
-      if (!k || *k == 0) return usage();
-      config.tile_rows = *k;
-    } else if (flag == "--dir") {
-      const char* value = next();
-      if (value == nullptr || *value == '\0') return usage();
-      config.dir = value;
-    } else if (flag == "--resume") {
-      config.resume = true;
-    } else if (flag == "--threads") {
-      const auto t = parse_unsigned(next());
-      if (!t) return usage();
-      config.threads = *t;
-    } else if (flag == "--mem-budget") {
-      const char* value = next();
-      if (value == nullptr) return usage();
-      const auto budget = parse_mem_bytes(value);
-      if (!budget) return usage();
-      config.mem_budget_bytes = *budget;
-    } else {
-      std::fprintf(stderr, "unknown rank flag '%s'\n", flag.c_str());
-      return usage();
-    }
-  }
-  if (!n) return usage();
-  config.n = *n;
+  parse_flags("rank", rank_flags(config), argc, argv);
   if (config.resume && config.dir.empty()) {
-    std::fprintf(stderr, "rank --resume needs --dir <dir> (the checkpoint lives there)\n");
-    return usage();
+    throw UsageError("rank --resume needs --dir <dir> (the checkpoint lives there)");
   }
 
   // BCCLB_MEM_BUDGET is a real resource contract, not a tuning hint: a
@@ -245,11 +398,9 @@ int cmd_rank_tiled(int argc, char** argv) {
   }
   // Test hooks mirroring the campaign runner's: strict-parsed, ignored when
   // malformed. The delay widens the SIGKILL window for rank_smoke.sh.
-  if (const char* env = std::getenv("BCCLB_RANK_STOP_AFTER")) {
-    if (const auto v = parse_size(env)) config.stop_after_tiles = *v;
-  }
-  if (const char* env = std::getenv("BCCLB_RANK_TILE_DELAY_MS")) {
-    if (const auto v = parse_u64(env)) config.inter_tile_delay_ns = *v * 1'000'000ULL;
+  if (const auto v = env_u64("BCCLB_RANK_STOP_AFTER")) config.stop_after_tiles = *v;
+  if (const auto v = env_u64("BCCLB_RANK_TILE_DELAY_MS")) {
+    config.inter_tile_delay_ns = *v * 1'000'000ULL;
   }
 
   std::signal(SIGINT, on_campaign_signal);
@@ -435,11 +586,12 @@ int run_checkpointed_campaign(const Campaign& campaign, const char* dir, bool re
   // values are ignored, never trusted): a clean stop after N batches, and a
   // between-batch throttle the kill-and-resume smoke tests use to widen the
   // window a real SIGKILL can land in.
-  if (const char* env = std::getenv("BCCLB_CAMPAIGN_STOP_AFTER")) {
-    if (const auto v = parse_unsigned(env)) config.stop_after_batches = *v;
+  const auto stop_after = env_u64("BCCLB_CAMPAIGN_STOP_AFTER");
+  if (stop_after && *stop_after <= std::numeric_limits<unsigned>::max()) {
+    config.stop_after_batches = static_cast<unsigned>(*stop_after);
   }
-  if (const char* env = std::getenv("BCCLB_CAMPAIGN_BATCH_DELAY_MS")) {
-    if (const auto v = parse_u64(env)) config.inter_batch_delay_ns = *v * 1'000'000ULL;
+  if (const auto v = env_u64("BCCLB_CAMPAIGN_BATCH_DELAY_MS")) {
+    config.inter_batch_delay_ns = *v * 1'000'000ULL;
   }
   const CampaignReport report = CampaignRunner(config).run(campaign);
 
@@ -540,6 +692,39 @@ std::optional<SearchDriver> parse_search_driver(const char* name) {
   return std::nullopt;
 }
 
+struct SearchArgs {
+  const char* dir = nullptr;  // positional or --dir
+  bool resume = false;
+  bool verify = false;
+  const char* golden = "results/search_golden.json";
+  SearchConfig cell;       // --seed also seeds the standard campaign
+  bool have_cell = false;  // a cell flag was given: run that one cell
+};
+
+std::vector<Flag> search_flags(SearchArgs& a) {
+  const auto cell = [&a](Flag row) { return noting(std::move(row), a.have_cell); };
+  return {text_flag("--dir", "D", a.dir),
+          switch_flag("--resume", a.resume),
+          uint_flag("--seed", "S", a.cell.seed),
+          {"--verify", "golden",
+           [&a](const char* path) {
+             a.verify = true;
+             if (path != nullptr) a.golden = path;
+             return true;
+           },
+           Arity::kOptionalValue},
+          cell(uint_flag("--n", "N", a.cell.n)),
+          cell(uint_flag("--rounds", "T", a.cell.rounds, 1)),
+          cell(parsed_flag("--driver", "random|evolution|exhaustive", a.cell.driver,
+                           parse_search_driver)),
+          cell(uint_flag("--buckets", "K", a.cell.buckets, 1, 64)),
+          cell(uint_flag("--budget", "B", a.cell.budget)),
+          // Accepted for forward compatibility with the paper's BCC(b); the
+          // genome only encodes b = 1 broadcasts today, so anything else is
+          // a loud refusal, not a silently different experiment.
+          uint_flag("--bandwidth", "1", a.cell.bandwidth, 1, 1)};
+}
+
 // The adversary strategy hunt (DESIGN.md §11). The default form runs the
 // standard search campaign through the checkpointed CampaignRunner into
 // <dir> — kill it (even -9) and `bcclb search --resume <dir>` finishes the
@@ -547,140 +732,39 @@ std::optional<SearchDriver> parse_search_driver(const char* name) {
 // ad-hoc cell the same way; --verify re-runs the standard campaign in
 // memory and diffs digests against the checked-in golden store.
 int cmd_search(int argc, char** argv) {
-  const char* dir = nullptr;
-  bool resume = false;
-  bool verify = false;
-  const char* golden_path = "results/search_golden.json";
-  std::uint64_t seed = 2019;
-  SearchConfig cell;
-  bool have_cell = false;
-
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (flag == "--resume") {
-      resume = true;
-    } else if (flag == "--verify") {
-      verify = true;
-      if (value != nullptr && value[0] != '-') {
-        golden_path = value;
-        ++i;
-      }
-    } else if (flag == "--dir" && value != nullptr) {
-      dir = value;
-      ++i;
-    } else if (flag == "--seed" && value != nullptr) {
-      const auto s = parse_u64(value);
-      if (!s) return usage();
-      seed = *s;
-      ++i;
-    } else if (flag == "--n" && value != nullptr) {
-      const auto n = parse_size(value);
-      if (!n) return usage();
-      cell.n = *n;
-      have_cell = true;
-      ++i;
-    } else if (flag == "--rounds" && value != nullptr) {
-      const auto t = parse_unsigned(value);
-      if (!t || *t == 0) return usage();
-      cell.rounds = *t;
-      have_cell = true;
-      ++i;
-    } else if (flag == "--buckets" && value != nullptr) {
-      const auto k = parse_unsigned(value);
-      if (!k || *k == 0 || *k > 64) return usage();
-      cell.buckets = *k;
-      have_cell = true;
-      ++i;
-    } else if (flag == "--budget" && value != nullptr) {
-      const auto b = parse_u64(value);
-      if (!b) return usage();
-      cell.budget = *b;
-      have_cell = true;
-      ++i;
-    } else if (flag == "--driver" && value != nullptr) {
-      const auto d = parse_search_driver(value);
-      if (!d) return usage();
-      cell.driver = *d;
-      have_cell = true;
-      ++i;
-    } else if (flag == "--bandwidth" && value != nullptr) {
-      // Accepted for forward compatibility with the paper's BCC(b); the
-      // genome only encodes b = 1 broadcasts today, so anything else is a
-      // loud refusal, not a silently different experiment.
-      const auto b = parse_unsigned(value);
-      if (!b) return usage();
-      if (*b != 1) {
-        std::fprintf(stderr, "search: only --bandwidth 1 is implemented\n");
-        return usage();
-      }
-      ++i;
-    } else if (!flag.empty() && flag[0] != '-' && dir == nullptr) {
-      dir = argv[i];
-    } else {
-      return usage();
+  SearchArgs args;
+  parse_flags("search", search_flags(args), argc, argv, &args.dir);
+  if (args.verify) {
+    if (args.resume || args.dir != nullptr || args.have_cell) {
+      throw UsageError("search --verify takes no <dir>, --resume or cell flags");
     }
+    const GoldenStore golden = GoldenStore::from_json(read_file(args.golden));
+    return verify_campaign_golden(args.golden, golden, search_campaign(golden.seed));
   }
-
-  if (verify) {
-    if (resume || dir != nullptr || have_cell) return usage();
-    const GoldenStore golden = GoldenStore::from_json(read_file(golden_path));
-    return verify_campaign_golden(golden_path, golden, search_campaign(golden.seed));
+  if (args.dir == nullptr) {
+    throw UsageError("search: need a checkpoint directory (positional or --dir)");
   }
-  if (dir == nullptr) {
-    std::fprintf(stderr, "search: need a checkpoint directory (positional or --dir)\n");
-    return usage();
-  }
-  if (have_cell) {
-    cell.seed = seed;
-    return run_checkpointed_campaign(single_cell_search_campaign(cell), dir, resume, "search");
-  }
-  return run_checkpointed_campaign(search_campaign(seed), dir, resume, "search");
+  const Campaign campaign = args.have_cell ? single_cell_search_campaign(args.cell)
+                                           : search_campaign(args.cell.seed);
+  return run_checkpointed_campaign(campaign, args.dir, args.resume, "search");
 }
 
-int usage();
+std::vector<Flag> serve_flags(ServeConfig& c) {
+  return {one_of(text_flag("--socket", "<path>", c.unix_path)),
+          one_of(uint_flag("--port", "<p>", c.tcp_port)),
+          uint_flag("--threads", "N", c.threads),
+          uint_flag("--queue", "N", c.queue_capacity, 1),
+          parsed_flag("--cache-budget", "<bytes>", c.cache_budget_bytes, parse_mem_bytes),
+          uint_flag("--max-connections", "N", c.max_connections, 1),
+          text_flag("--store", "<dir>", c.store_dir)};
+}
 
 // bccd: the serving daemon (DESIGN.md §6). SIGINT/SIGTERM trigger the drain
 // sequence — finish in-flight work, flush stats, exit 0 — via the same
 // sig_atomic_t flag the campaign runner polls.
 int cmd_serve(int argc, char** argv) {
   ServeConfig config;
-  bool have_endpoint = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (flag == "--socket" && value != nullptr && *value != '\0') {
-      config.unix_path = value;
-      have_endpoint = true;
-    } else if (flag == "--port" && value != nullptr) {
-      const auto port = parse_unsigned(value);
-      if (!port || *port > 65535) return usage();
-      config.tcp_port = static_cast<std::uint16_t>(*port);
-      have_endpoint = true;
-    } else if (flag == "--threads" && value != nullptr) {
-      const auto threads = parse_unsigned(value);
-      if (!threads) return usage();
-      config.threads = *threads;
-    } else if (flag == "--queue" && value != nullptr) {
-      const auto capacity = parse_size(value);
-      if (!capacity || *capacity == 0) return usage();
-      config.queue_capacity = *capacity;
-    } else if (flag == "--cache-budget" && value != nullptr) {
-      const auto budget = parse_mem_bytes(value);
-      if (!budget) return usage();
-      config.cache_budget_bytes = *budget;
-    } else if (flag == "--max-connections" && value != nullptr) {
-      const auto cap = parse_size(value);
-      if (!cap || *cap == 0) return usage();
-      config.max_connections = *cap;
-    } else if (flag == "--store" && value != nullptr && *value != '\0') {
-      config.store_dir = value;
-    } else {
-      return usage();
-    }
-    ++i;  // every flag consumed a value
-  }
-  if (!have_endpoint) return usage();
+  parse_flags("serve", serve_flags(config), argc, argv);
 
   // Deterministic fault injection, chaos-harness only. Strict like every
   // other env override: a malformed spec is a loud startup failure, never a
@@ -698,115 +782,51 @@ int cmd_serve(int argc, char** argv) {
   std::printf("bccd listening on %s\n", server.endpoint().c_str());
   std::fflush(stdout);
 
-  const ServeStats stats = server.run();
-  std::printf("bccd drained: %llu admitted, %llu ok, %llu failed\n",
-              static_cast<unsigned long long>(stats.requests_admitted),
-              static_cast<unsigned long long>(stats.responses_ok),
-              static_cast<unsigned long long>(stats.compute_failed));
-  std::printf("  rejected: queue-full %llu, too-large %llu, protocol %llu, draining %llu\n",
-              static_cast<unsigned long long>(stats.queue_full),
-              static_cast<unsigned long long>(stats.too_large),
-              static_cast<unsigned long long>(stats.protocol_violations),
-              static_cast<unsigned long long>(stats.draining_rejected));
-  std::printf("  cache: %llu hits, %llu misses, %llu evictions, %llu verify-failures; "
-              "coalesced %llu\n",
-              static_cast<unsigned long long>(stats.cache.hits),
-              static_cast<unsigned long long>(stats.cache.misses),
-              static_cast<unsigned long long>(stats.cache.evictions),
-              static_cast<unsigned long long>(stats.cache.verify_failures),
-              static_cast<unsigned long long>(stats.coalesced));
-  if (server.disk_store() != nullptr) {
-    std::printf("  disk: %llu hits, %llu misses, %llu writes, %llu write-failures, "
-                "%llu quarantined\n",
-                static_cast<unsigned long long>(stats.disk.hits),
-                static_cast<unsigned long long>(stats.disk.misses),
-                static_cast<unsigned long long>(stats.disk.writes),
-                static_cast<unsigned long long>(stats.disk.write_failures),
-                static_cast<unsigned long long>(stats.disk.quarantined));
-  }
-  if (stats.chaos_stalls != 0 || stats.chaos_corrupted_responses != 0 ||
-      stats.chaos_corrupted_disk != 0) {
-    std::printf("  chaos: %llu stalls, %llu corrupted responses, %llu corrupted disk entries\n",
-                static_cast<unsigned long long>(stats.chaos_stalls),
-                static_cast<unsigned long long>(stats.chaos_corrupted_responses),
-                static_cast<unsigned long long>(stats.chaos_corrupted_disk));
-  }
+  server.run();
+  std::printf("bccd drained\n%s", server.render_stats().c_str());
   return 0;
 }
 
-int cmd_loadgen(int argc, char** argv) {
+struct LoadgenArgs {
   LoadgenConfig config;
-  bool have_endpoint = false;
-  const char* json_path = nullptr;
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (flag == "--socket" && value != nullptr && *value != '\0') {
-      config.unix_path = value;
-      have_endpoint = true;
-    } else if (flag == "--port" && value != nullptr) {
-      const auto port = parse_unsigned(value);
-      if (!port || *port == 0 || *port > 65535) return usage();
-      config.tcp_port = static_cast<std::uint16_t>(*port);
-      have_endpoint = true;
-    } else if (flag == "--requests" && value != nullptr) {
-      const auto requests = parse_size(value);
-      if (!requests || *requests == 0) return usage();
-      config.requests = *requests;
-    } else if (flag == "--concurrency" && value != nullptr) {
-      const auto concurrency = parse_unsigned(value);
-      if (!concurrency || *concurrency == 0) return usage();
-      config.concurrency = *concurrency;
-    } else if (flag == "--seed" && value != nullptr) {
-      const auto seed = parse_u64(value);
-      if (!seed) return usage();
-      config.seed = *seed;
-    } else if (flag == "--pool" && value != nullptr) {
-      const auto pool = parse_size(value);
-      if (!pool || *pool == 0) return usage();
-      config.pool_size = *pool;
-    } else if (flag == "--max-n" && value != nullptr) {
-      const auto max_n = parse_unsigned(value);
-      if (!max_n || *max_n < 4) return usage();
-      config.max_n = *max_n;
-    } else if (flag == "--stats-every" && value != nullptr) {
-      const auto every = parse_size(value);
-      if (!every) return usage();
-      config.stats_every = *every;
-    } else if (flag == "--retries" && value != nullptr) {
-      const auto retries = parse_unsigned(value);
-      if (!retries) return usage();
-      config.max_retries = *retries;
-    } else if (flag == "--deadline-ms" && value != nullptr) {
-      const auto deadline = parse_u64(value);
-      if (!deadline) return usage();
-      config.deadline_ms = *deadline;
-    } else if (flag == "--backoff-ms" && value != nullptr) {
-      const auto backoff = parse_u64(value);
-      if (!backoff || *backoff == 0) return usage();
-      config.backoff_base_ms = *backoff;
-    } else if (flag == "--zipf" && value != nullptr) {
-      const auto s = parse_double(value);
-      if (!s || *s < 0.0) return usage();
-      config.zipf_s = *s;
-    } else if (flag == "--router") {
-      config.router = true;
-      continue;  // no value consumed
-    } else if (flag == "--json" && value != nullptr && *value != '\0') {
-      json_path = value;
-    } else {
-      return usage();
-    }
-    ++i;
-  }
-  if (!have_endpoint) return usage();
+  const char* json_path = nullptr;  // report to stdout when unset
+};
+
+std::vector<Flag> loadgen_flags(LoadgenArgs& a) {
+  LoadgenConfig& c = a.config;
+  return {one_of(text_flag("--socket", "<path>", c.unix_path)),
+          one_of(uint_flag("--port", "<p>", c.tcp_port, 1)),
+          uint_flag("--requests", "N", c.requests, 1),
+          uint_flag("--concurrency", "N", c.concurrency, 1),
+          uint_flag("--seed", "S", c.seed),
+          uint_flag("--pool", "N", c.pool_size, 1),
+          uint_flag("--max-n", "N", c.max_n, 4),
+          uint_flag("--stats-every", "N", c.stats_every),
+          text_flag("--json", "<path>", a.json_path),
+          uint_flag("--retries", "N", c.max_retries),
+          uint_flag("--deadline-ms", "MS", c.deadline_ms),
+          uint_flag("--backoff-ms", "MS", c.backoff_base_ms, 1),
+          {"--zipf", "S",
+           [&c](const char* text) {
+             const auto s = parse_double(text);
+             if (!s || *s < 0.0) return false;
+             c.zipf_s = *s;
+             return true;
+           }},
+          switch_flag("--router", c.router)};
+}
+
+int cmd_loadgen(int argc, char** argv) {
+  LoadgenArgs args;
+  parse_flags("loadgen", loadgen_flags(args), argc, argv);
+  const LoadgenConfig& config = args.config;
 
   const LoadgenReport report = run_loadgen(config);
   const std::string json = loadgen_report_json(config, report);
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
+  if (args.json_path != nullptr) {
+    std::FILE* f = std::fopen(args.json_path, "w");
     if (f == nullptr) {
-      std::fprintf(stderr, "loadgen: cannot write '%s': %s\n", json_path, std::strerror(errno));
+      std::fprintf(stderr, "loadgen: cannot write '%s': %s\n", args.json_path, std::strerror(errno));
       return 1;
     }
     std::fwrite(json.data(), 1, json.size(), f);
@@ -838,65 +858,32 @@ int cmd_loadgen(int argc, char** argv) {
   return 0;
 }
 
+std::vector<Flag> route_flags(RouterConfig& c) {
+  return {one_of(text_flag("--socket", "<path>", c.unix_path)),
+          one_of(uint_flag("--port", "<p>", c.tcp_port)),
+          {"--backend", "(unix:<path>|tcp:<p>)",
+           [&c](const char* text) {
+             const auto endpoint = parse_backend_endpoint(text);
+             if (endpoint) c.backends.push_back(*endpoint);
+             return endpoint.has_value();
+           },
+           Arity::kRepeated, Need::kRequired},
+          uint_flag("--fail-threshold", "N", c.health.fail_threshold, 1),
+          uint_flag("--open-ms", "MS", c.health.open_cooldown_ms),
+          uint_flag("--probe-interval-ms", "MS", c.health.probe_interval_ms),
+          uint_flag("--probe-deadline-ms", "MS", c.health.probe_deadline_ms, 1),
+          uint_flag("--attempt-deadline-ms", "MS", c.attempt_deadline_ms, 1),
+          uint_flag("--hedge-ms", "MS", c.hedge_delay_ms),
+          uint_flag("--max-connections", "N", c.max_connections, 1),
+          uint_flag("--seed", "S", c.health.seed)};
+}
+
 // bccr: the shard router (DESIGN.md §9). Fronts N `bcclb serve` daemons with
 // rendezvous hashing, per-backend circuit breakers, failover and optional
 // hedging. Drains on SIGINT/SIGTERM exactly like bccd.
 int cmd_route(int argc, char** argv) {
   RouterConfig config;
-  bool have_endpoint = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (flag == "--socket" && value != nullptr && *value != '\0') {
-      config.unix_path = value;
-      have_endpoint = true;
-    } else if (flag == "--port" && value != nullptr) {
-      const auto port = parse_unsigned(value);
-      if (!port || *port > 65535) return usage();
-      config.tcp_port = static_cast<std::uint16_t>(*port);
-      have_endpoint = true;
-    } else if (flag == "--backend" && value != nullptr) {
-      const auto endpoint = parse_backend_endpoint(value);
-      if (!endpoint) return usage();
-      config.backends.push_back(*endpoint);
-    } else if (flag == "--fail-threshold" && value != nullptr) {
-      const auto threshold = parse_unsigned(value);
-      if (!threshold || *threshold == 0) return usage();
-      config.health.fail_threshold = *threshold;
-    } else if (flag == "--open-ms" && value != nullptr) {
-      const auto ms = parse_u64(value);
-      if (!ms) return usage();
-      config.health.open_cooldown_ms = *ms;
-    } else if (flag == "--probe-interval-ms" && value != nullptr) {
-      const auto ms = parse_u64(value);
-      if (!ms) return usage();
-      config.health.probe_interval_ms = *ms;
-    } else if (flag == "--probe-deadline-ms" && value != nullptr) {
-      const auto ms = parse_u64(value);
-      if (!ms || *ms == 0) return usage();
-      config.health.probe_deadline_ms = *ms;
-    } else if (flag == "--attempt-deadline-ms" && value != nullptr) {
-      const auto ms = parse_u64(value);
-      if (!ms || *ms == 0) return usage();
-      config.attempt_deadline_ms = *ms;
-    } else if (flag == "--hedge-ms" && value != nullptr) {
-      const auto ms = parse_u64(value);
-      if (!ms) return usage();
-      config.hedge_delay_ms = *ms;
-    } else if (flag == "--max-connections" && value != nullptr) {
-      const auto cap = parse_size(value);
-      if (!cap || *cap == 0) return usage();
-      config.max_connections = *cap;
-    } else if (flag == "--seed" && value != nullptr) {
-      const auto seed = parse_u64(value);
-      if (!seed) return usage();
-      config.health.seed = *seed;
-    } else {
-      return usage();
-    }
-    ++i;  // every flag consumed a value
-  }
-  if (!have_endpoint || config.backends.empty()) return usage();
+  parse_flags("route", route_flags(config), argc, argv);
 
   std::signal(SIGINT, on_campaign_signal);
   std::signal(SIGTERM, on_campaign_signal);
@@ -908,57 +895,30 @@ int cmd_route(int argc, char** argv) {
               router.pool().size());
   std::fflush(stdout);
 
-  const RouterStats stats = router.run();
-  std::printf("bccr drained: %llu routed, %llu ok, %llu error\n",
-              static_cast<unsigned long long>(stats.requests_routed),
-              static_cast<unsigned long long>(stats.responses_ok),
-              static_cast<unsigned long long>(stats.responses_error));
-  std::printf("  failovers %llu, hedges %llu (won %llu), digest-rejected %llu, no-backend %llu\n",
-              static_cast<unsigned long long>(stats.failovers),
-              static_cast<unsigned long long>(stats.hedges_launched),
-              static_cast<unsigned long long>(stats.hedges_won),
-              static_cast<unsigned long long>(stats.digest_rejected),
-              static_cast<unsigned long long>(stats.no_backend));
-  for (std::size_t id = 0; id < stats.backends.size(); ++id) {
-    const BackendSnapshot& b = stats.backends[id];
-    std::printf("  backend %zu %s state=%s routed=%llu failures=%llu opened=%llu "
-                "readmitted=%llu\n",
-                id, b.endpoint.to_string().c_str(), backend_state_name(b.state),
-                static_cast<unsigned long long>(b.counters.routed),
-                static_cast<unsigned long long>(b.counters.failures),
-                static_cast<unsigned long long>(b.counters.circuit_opened),
-                static_cast<unsigned long long>(b.counters.circuit_closed));
-  }
+  router.run();
+  std::printf("bccr drained\n%s", router.render_stats().c_str());
   return 0;
+}
+
+struct Endpoint {
+  std::string unix_path;
+  std::uint16_t tcp_port = 0;
+};
+
+std::vector<Flag> probe_flags(Endpoint& e) {
+  return {one_of(text_flag("--socket", "<path>", e.unix_path)),
+          one_of(uint_flag("--port", "<p>", e.tcp_port, 1))};
 }
 
 // One-shot health probe: a single kStats round trip, artifact to stdout.
 // Works against both bccd and bccr — cluster_smoke.sh greps router stats
 // (circuit states, failover counters) through this.
 int cmd_probe(int argc, char** argv) {
-  std::string unix_path;
-  std::uint16_t tcp_port = 0;
-  bool have_endpoint = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (flag == "--socket" && value != nullptr && *value != '\0') {
-      unix_path = value;
-      have_endpoint = true;
-    } else if (flag == "--port" && value != nullptr) {
-      const auto port = parse_unsigned(value);
-      if (!port || *port == 0 || *port > 65535) return usage();
-      tcp_port = static_cast<std::uint16_t>(*port);
-      have_endpoint = true;
-    } else {
-      return usage();
-    }
-    ++i;
-  }
-  if (!have_endpoint) return usage();
+  Endpoint endpoint;
+  parse_flags("probe", probe_flags(endpoint), argc, argv);
 
-  ServeClient client = unix_path.empty() ? ServeClient::connect_tcp(tcp_port)
-                                         : ServeClient::connect_unix(unix_path);
+  ServeClient client = endpoint.unix_path.empty() ? ServeClient::connect_tcp(endpoint.tcp_port)
+                                         : ServeClient::connect_unix(endpoint.unix_path);
   Request request;
   request.type = RequestType::kStats;
   ClientRetryPolicy policy;
@@ -969,90 +929,54 @@ int cmd_probe(int argc, char** argv) {
   return 0;
 }
 
+struct SimArgs {
+  ImplicitSpec spec;
+  bool have_n = false;  // --n or BCCLB_SIM_N
+  unsigned bandwidth = 0;  // 0 = smallest width that carries every ID
+  unsigned threads = 1;
+  bool implicit = false;  // required: the only sim path there is
+  bool digest = false;
+};
+
+std::vector<Flag> sim_flags(SimArgs& a) {
+  return {required(switch_flag("--implicit", a.implicit)),
+          parsed_flag("--family", "F", a.spec.family, parse_implicit_family),
+          noting(uint_flag("--n", "N", a.spec.n), a.have_n),
+          uint_flag("--seed", "S", a.spec.seed),
+          uint_flag("--bandwidth", "B", a.bandwidth, 1, 64),
+          uint_flag("--threads", "N", a.threads, 1),
+          uint_flag("--cycles", "K", a.spec.cycles, 1),
+          switch_flag("--digest", a.digest)};
+}
+
 // Million-node simulation over an implicitly defined instance: the
 // InstanceView scale path. Flags override the BCCLB_SIM_* environment
 // defaults; all of them go through the strict parser, so a malformed
 // override is a loud failure, never a silently different experiment.
 int cmd_sim(int argc, char** argv) {
-  ImplicitSpec spec;
+  SimArgs args;
+  ImplicitSpec& spec = args.spec;
   spec.seed = 2019;
-  std::optional<std::uint64_t> n;
-  unsigned bandwidth = 0;  // 0 = smallest width that carries every ID
-  unsigned threads = 1;
-  bool implicit = false;
-  bool digest = false;
 
   // Environment defaults (strict: set-but-malformed throws BcclbError).
-  if (const auto env_n = env_u64_required_valid("BCCLB_SIM_N")) n = *env_n;
+  if (const auto env_n = env_u64_required_valid("BCCLB_SIM_N")) {
+    spec.n = *env_n;
+    args.have_n = true;
+  }
   if (const auto env_seed = env_u64_required_valid("BCCLB_SIM_SEED")) spec.seed = *env_seed;
   if (const auto env_family = env_string("BCCLB_SIM_FAMILY")) {
     const auto parsed = parse_implicit_family(*env_family);
     if (!parsed) {
-      std::fprintf(stderr, "BCCLB_SIM_FAMILY=\"%.*s\" is not an implicit family\n",
-                   static_cast<int>(env_family->size()), env_family->data());
-      return usage();
+      throw UsageError("BCCLB_SIM_FAMILY=\"" + std::string(*env_family) +
+                       "\" is not an implicit family");
     }
     spec.family = *parsed;
   }
 
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (flag == "--implicit") {
-      implicit = true;
-    } else if (flag == "--digest") {
-      digest = true;
-    } else if (flag == "--family" && value != nullptr) {
-      const auto parsed = parse_implicit_family(value);
-      if (!parsed) {
-        std::fprintf(stderr,
-                     "unknown family '%s'; options: one-cycle two-cycle multi-cycle "
-                     "random-regular\n",
-                     value);
-        return usage();
-      }
-      spec.family = *parsed;
-      ++i;
-    } else if (flag == "--n" && value != nullptr) {
-      n = parse_u64(value);
-      if (!n) return usage();
-      ++i;
-    } else if (flag == "--seed" && value != nullptr) {
-      const auto seed = parse_u64(value);
-      if (!seed) return usage();
-      spec.seed = *seed;
-      ++i;
-    } else if (flag == "--bandwidth" && value != nullptr) {
-      const auto b = parse_unsigned(value);
-      if (!b || *b < 1 || *b > 64) return usage();
-      bandwidth = *b;
-      ++i;
-    } else if (flag == "--threads" && value != nullptr) {
-      const auto t = parse_unsigned(value);
-      if (!t || *t == 0) return usage();
-      threads = *t;
-      ++i;
-    } else if (flag == "--cycles" && value != nullptr) {
-      const auto c = parse_unsigned(value);
-      if (!c || *c == 0) return usage();
-      spec.cycles = *c;
-      ++i;
-    } else {
-      return usage();
-    }
-  }
-  if (!implicit) {
-    std::fprintf(stderr, "sim: only the --implicit path exists (explicit instances go through "
-                         "the enumeration commands)\n");
-    return usage();
-  }
-  if (!n) {
-    std::fprintf(stderr, "sim: need --n (or BCCLB_SIM_N)\n");
-    return usage();
-  }
-  spec.n = *n;
+  parse_flags("sim", sim_flags(args), argc, argv);
+  if (!args.have_n) throw UsageError("sim: need --n (or BCCLB_SIM_N)");
 
-  const auto report = implicit_classify_experiment(spec, bandwidth, threads, digest);
+  const auto report = implicit_classify_experiment(spec, args.bandwidth, args.threads, args.digest);
   std::printf("sim-implicit family=%s n=%llu seed=%llu\n", implicit_family_name(spec.family),
               static_cast<unsigned long long>(spec.n),
               static_cast<unsigned long long>(spec.seed));
@@ -1065,7 +989,7 @@ int cmd_sim(int argc, char** argv) {
   std::printf("total bits broadcast = %llu\n",
               static_cast<unsigned long long>(report.total_bits_broadcast));
   std::printf("labels digest = %s\n", digest_hex(report.labels_digest).c_str());
-  if (digest) {
+  if (args.digest) {
     std::printf("transcript digest = %s\n", digest_hex(report.transcript_digest).c_str());
   }
   std::printf("peak state = %.1f MiB (O(n); no O(n^2) tables)\n",
@@ -1075,60 +999,59 @@ int cmd_sim(int argc, char** argv) {
   return report.verdict_correct ? 0 : 1;
 }
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: bcclb <command> [args]\n"
-               "  counts <n>\n"
-               "  star   <n> <t> <adversary>\n"
-               "  kt0    <n> <t> <adversary>   (6 <= n <= 9)\n"
-               "  rules  <n> <t> <adversary>   (6 <= n <= 9)\n"
-               "  rank   <n>\n"
-               "  rank   --n N [--field gf2|modp] [--tile-rows K] [--dir D] [--resume]\n"
-               "         [--threads T] [--prime P] [--mem-budget BYTES]\n"
-               "  info   <n> [keep=1.0]        (n <= 10)\n"
-               "  reduce <n> [seed=1]\n"
-               "  upper  <n> <b> [seed=1]\n"
-               "  bfs    <n> <p> [seed=1]\n"
-               "  faults <n> <b> [seed=2019]\n"
-               "  campaign <dir> [seed=2019]\n"
-               "  campaign --resume <dir> [seed=2019]\n"
-               "  campaign --verify [golden=results/golden.json]\n"
-               "  search <dir> [--seed S] [--resume]\n"
-               "  search --n N --rounds T [--driver random|evolution|exhaustive]\n"
-               "         [--buckets K] [--budget B] [--seed S] [--bandwidth 1]\n"
-               "         [--dir D] [--resume]\n"
-               "  search --verify [golden=results/search_golden.json]\n"
-               "  sim     --implicit [--family F] [--n N] [--seed S] [--bandwidth B]\n"
-               "          [--threads N] [--cycles K] [--digest]\n"
-               "  serve   (--socket <path> | --port <p>) [--threads N] [--queue N]\n"
-               "          [--cache-budget <bytes>] [--max-connections N] [--store <dir>]\n"
-               "  route   (--socket <path> | --port <p>) --backend (unix:<path>|tcp:<p>) ...\n"
-               "          [--fail-threshold N] [--open-ms MS] [--probe-interval-ms MS]\n"
-               "          [--probe-deadline-ms MS] [--attempt-deadline-ms MS] [--hedge-ms MS]\n"
-               "          [--max-connections N] [--seed S]\n"
-               "  probe   (--socket <path> | --port <p>)\n"
-               "  loadgen (--socket <path> | --port <p>) [--requests N] [--concurrency N]\n"
-               "          [--seed S] [--pool N] [--max-n N] [--stats-every N] [--json <path>]\n"
-               "          [--retries N] [--deadline-ms MS] [--backoff-ms MS] [--zipf S]\n"
-               "          [--router]\n"
-               "  version\n"
-               "adversaries: silent id-bits hashed-id coin-xor-id port-parity echo state-hash\n"
-               "families: one-cycle two-cycle multi-cycle random-regular\n"
-               "numeric arguments must be whole in-range numbers\n"
-               "campaign, search, and rank --n honour BCCLB_THREADS and BCCLB_MEM_BUDGET\n"
-               "  (bytes, K/M/G suffix);\n"
-               "serve honours BCCLB_MEM_BUDGET for the artifact cache and BCCLB_SERVE_FAULTS\n"
-               "  for deterministic chaos injection (see DESIGN.md §8);\n"
-               "sim honours BCCLB_SIM_N, BCCLB_SIM_SEED, BCCLB_SIM_FAMILY (flags override)\n");
-  return 2;
+int usage(std::FILE* out) {
+  const std::string text =
+      "usage: bcclb <command> [args]\n"
+      "  counts <n>\n"
+      "  star   <n> <t> <adversary>\n"
+      "  kt0    <n> <t> <adversary>   (6 <= n <= 9)\n"
+      "  rules  <n> <t> <adversary>   (6 <= n <= 9)\n"
+      "  rank   <n>\n" +
+      synopsis("rank", rank_flags) +
+      "  info   <n> [keep=1.0]        (n <= 10)\n"
+      "  reduce <n> [seed=1]\n"
+      "  upper  <n> <b> [seed=1]\n"
+      "  bfs    <n> <p> [seed=1]\n"
+      "  faults <n> <b> [seed=2019]\n"
+      "  campaign <dir> [seed=2019]\n"
+      "  campaign --resume <dir> [seed=2019]\n"
+      "  campaign --verify [golden=results/golden.json]\n" +
+      synopsis("search", search_flags, "[<dir>]") + synopsis("sim", sim_flags) +
+      synopsis("serve", serve_flags) + synopsis("route", route_flags) +
+      synopsis("probe", probe_flags) + synopsis("loadgen", loadgen_flags) +
+      "  help\n"
+      "  version\n"
+      "adversaries: silent id-bits hashed-id coin-xor-id port-parity echo state-hash\n"
+      "families: one-cycle two-cycle multi-cycle random-regular\n"
+      "numbers are plain decimal digits (no sign, no spaces) and must be in range\n"
+      "search: cell flags (--n --rounds --driver --buckets --budget) run one cell;\n"
+      "  --verify (golden=results/search_golden.json) takes no <dir>, --resume or cell flags\n"
+      "campaign, search, and rank --n honour BCCLB_THREADS and BCCLB_MEM_BUDGET\n"
+      "  (bytes, K/M/G suffix);\n"
+      "serve honours BCCLB_MEM_BUDGET for the artifact cache and BCCLB_SERVE_FAULTS\n"
+      "  for deterministic chaos injection (see DESIGN.md §8);\n"
+      "sim honours BCCLB_SIM_N, BCCLB_SIM_SEED, BCCLB_SIM_FAMILY (flags override)\n";
+  std::fputs(text.c_str(), out);
+  return out == stdout ? 0 : 2;
 }
 
 #ifndef BCCLB_GIT_DESCRIBE
 #define BCCLB_GIT_DESCRIBE "unknown"
 #endif
 
+// The positional commands and how many arguments each takes.
+struct PositionalCommand {
+  const char* name;
+  int min_args, max_args;
+};
+constexpr PositionalCommand kPositional[] = {
+    {"counts", 1, 1}, {"star", 3, 3},   {"kt0", 3, 3},   {"rules", 3, 3},
+    {"rank", 1, 1},   {"info", 1, 2},   {"reduce", 1, 2}, {"upper", 2, 3},
+    {"bfs", 2, 3},    {"faults", 2, 3}, {"campaign", 1, 3}};
+
 int dispatch(int argc, char** argv) {
   const std::string cmd = argv[1];
+  if (cmd == "help" || cmd == "--help") return usage(stdout);
   if (cmd == "version" || cmd == "--version") {
     std::printf("bcclb %s\n", BCCLB_GIT_DESCRIBE);
     return 0;
@@ -1138,80 +1061,72 @@ int dispatch(int argc, char** argv) {
   if (cmd == "probe") return cmd_probe(argc, argv);
   if (cmd == "loadgen") return cmd_loadgen(argc, argv);
   if (cmd == "sim") return cmd_sim(argc, argv);
-  if (cmd == "counts" && argc >= 3) {
-    const auto n = parse_size(argv[2]);
-    if (!n) return usage();
-    return cmd_counts(*n);
-  }
-  if ((cmd == "star" || cmd == "kt0" || cmd == "rules") && argc >= 5) {
-    const auto n = parse_size(argv[2]);
-    const auto t = parse_unsigned(argv[3]);
-    if (!n || !t) return usage();
-    const auto kind = parse_adversary(argv[4]);
-    if (!kind) return usage();
-    if (cmd == "star") return cmd_star(*n, *t, *kind);
-    if (cmd == "kt0") return cmd_kt0(*n, *t, *kind);
-    return cmd_rules(*n, *t, *kind);
-  }
-  if (cmd == "rank" && argc >= 3) {
-    // Flag form (`rank --n 9 …`) is the out-of-core tiled elimination;
-    // positional form (`rank 7`) keeps the legacy dense summary.
-    if (argv[2][0] == '-') return cmd_rank_tiled(argc, argv);
-    const auto n = parse_size(argv[2]);
-    if (!n) return usage();
-    return cmd_rank(*n);
-  }
-  if (cmd == "info" && argc >= 3) {
-    const auto n = parse_size(argv[2]);
-    const auto keep = argc >= 4 ? parse_double(argv[3]) : std::optional<double>(1.0);
-    if (!n || !keep) return usage();
-    return cmd_info(*n, *keep);
-  }
-  if (cmd == "reduce" && argc >= 3) {
-    const auto n = parse_size(argv[2]);
-    const auto seed = argc >= 4 ? parse_u64(argv[3]) : std::optional<std::uint64_t>(1);
-    if (!n || !seed) return usage();
-    return cmd_reduce(*n, *seed);
-  }
-  if (cmd == "upper" && argc >= 4) {
-    const auto n = parse_size(argv[2]);
-    const auto b = parse_unsigned(argv[3]);
-    const auto seed = argc >= 5 ? parse_u64(argv[4]) : std::optional<std::uint64_t>(1);
-    if (!n || !b || !seed) return usage();
-    return cmd_upper(*n, *b, *seed);
-  }
-  if (cmd == "bfs" && argc >= 4) {
-    const auto n = parse_size(argv[2]);
-    const auto p = parse_double(argv[3]);
-    const auto seed = argc >= 5 ? parse_u64(argv[4]) : std::optional<std::uint64_t>(1);
-    if (!n || !p || !seed) return usage();
-    return cmd_bfs(*n, *p, *seed);
-  }
-  if (cmd == "campaign" && argc >= 3) {
-    const std::string arg = argv[2];
-    if (arg == "--verify") {
-      return cmd_campaign_verify(argc >= 4 ? argv[3] : "results/golden.json");
-    }
-    if (arg == "--resume") {
-      if (argc < 4) return usage();
-      const auto seed = argc >= 5 ? parse_u64(argv[4]) : std::optional<std::uint64_t>(2019);
-      if (!seed) return usage();
-      return cmd_campaign_run(argv[3], *seed, /*resume=*/true);
-    }
-    if (arg.empty() || arg[0] == '-') return usage();
-    const auto seed = argc >= 4 ? parse_u64(argv[3]) : std::optional<std::uint64_t>(2019);
-    if (!seed) return usage();
-    return cmd_campaign_run(argv[2], *seed, /*resume=*/false);
-  }
   if (cmd == "search") return cmd_search(argc, argv);
-  if (cmd == "faults" && argc >= 4) {
-    const auto n = parse_size(argv[2]);
-    const auto b = parse_unsigned(argv[3]);
-    const auto seed = argc >= 5 ? parse_u64(argv[4]) : std::optional<std::uint64_t>(2019);
-    if (!n || !b || !seed) return usage();
-    return cmd_faults(*n, *b, *seed);
+  // Flag form (`rank --n 9 …`) is the out-of-core tiled elimination;
+  // positional form (`rank 7`) keeps the legacy dense summary.
+  if (cmd == "rank" && argc >= 3 && argv[2][0] == '-') return cmd_rank_tiled(argc, argv);
+
+  const auto* spec = std::find_if(std::begin(kPositional), std::end(kPositional),
+                                  [&cmd](const PositionalCommand& p) { return cmd == p.name; });
+  if (spec == std::end(kPositional)) throw UsageError("unknown command '" + cmd + "'");
+  const int count = argc - 2;
+  if (count < spec->min_args || count > spec->max_args) {
+    throw UsageError(cmd + " takes " + std::to_string(spec->min_args) + " to " +
+                     std::to_string(spec->max_args) + " arguments, not " + std::to_string(count));
   }
-  return usage();
+  const auto number = [argv](int i, std::uint64_t hi) {
+    const auto value = parse_uint(argv[i], hi);
+    if (!value) throw UsageError(std::string("bad number '") + argv[i] + "'");
+    return *value;
+  };
+  const auto real = [argv](int i) {
+    const auto value = parse_double(argv[i]);
+    if (!value) throw UsageError(std::string("bad number '") + argv[i] + "'");
+    return *value;
+  };
+  const auto seed_or = [&](int i, std::uint64_t fallback) {
+    return i < argc ? number(i, std::numeric_limits<std::uint64_t>::max()) : fallback;
+  };
+  constexpr std::uint64_t kSize = std::numeric_limits<std::size_t>::max();
+  constexpr std::uint64_t kUnsigned = std::numeric_limits<unsigned>::max();
+
+  if (cmd == "counts") return cmd_counts(number(2, kSize));
+  if (cmd == "star" || cmd == "kt0" || cmd == "rules") {
+    const std::size_t n = number(2, kSize);
+    const auto t = static_cast<unsigned>(number(3, kUnsigned));
+    const auto kind = parse_adversary(argv[4]);
+    if (!kind) throw UsageError("");
+    if (cmd == "star") return cmd_star(n, t, *kind);
+    if (cmd == "kt0") return cmd_kt0(n, t, *kind);
+    return cmd_rules(n, t, *kind);
+  }
+  if (cmd == "rank") return cmd_rank(number(2, kSize));
+  if (cmd == "info") return cmd_info(number(2, kSize), count == 2 ? real(3) : 1.0);
+  if (cmd == "reduce") return cmd_reduce(number(2, kSize), seed_or(3, 1));
+  if (cmd == "upper") {
+    const std::size_t n = number(2, kSize);
+    return cmd_upper(n, static_cast<unsigned>(number(3, kUnsigned)), seed_or(4, 1));
+  }
+  if (cmd == "bfs") {
+    const std::size_t n = number(2, kSize);
+    return cmd_bfs(n, real(3), seed_or(4, 1));
+  }
+  if (cmd == "faults") {
+    const std::size_t n = number(2, kSize);
+    return cmd_faults(n, static_cast<unsigned>(number(3, kUnsigned)), seed_or(4, 2019));
+  }
+  // campaign <dir> [seed] | --resume <dir> [seed] | --verify [golden]
+  const std::string first = argv[2];
+  if (first == "--verify") {
+    if (count > 2) throw UsageError("campaign --verify takes at most one golden path");
+    return cmd_campaign_verify(count == 2 ? argv[3] : "results/golden.json");
+  }
+  const bool resume = first == "--resume";
+  const int dir = resume ? 3 : 2;
+  if (dir >= argc || argc > dir + 2 || (!resume && (first.empty() || first[0] == '-'))) {
+    throw UsageError("campaign takes [--resume] <dir> [seed] or --verify [golden]");
+  }
+  return cmd_campaign_run(argv[dir], seed_or(dir + 1, 2019), resume);
 }
 
 }  // namespace
@@ -1220,6 +1135,9 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   try {
     return dispatch(argc, argv);
+  } catch (const UsageError& e) {
+    if (*e.what() != '\0') std::fprintf(stderr, "%s\n", e.what());
+    return usage();
   } catch (const BcclbError& e) {
     std::fprintf(stderr, "error (%s): %s\n", e.kind(), e.what());
     return 1;
