@@ -826,7 +826,8 @@ int cmd_loadgen(int argc, char** argv) {
   if (args.json_path != nullptr) {
     std::FILE* f = std::fopen(args.json_path, "w");
     if (f == nullptr) {
-      std::fprintf(stderr, "loadgen: cannot write '%s': %s\n", args.json_path, std::strerror(errno));
+      std::fprintf(stderr, "loadgen: cannot write '%s': %s\n", args.json_path,
+                   std::strerror(errno));
       return 1;
     }
     std::fwrite(json.data(), 1, json.size(), f);
@@ -976,7 +977,8 @@ int cmd_sim(int argc, char** argv) {
   parse_flags("sim", sim_flags(args), argc, argv);
   if (!args.have_n) throw UsageError("sim: need --n (or BCCLB_SIM_N)");
 
-  const auto report = implicit_classify_experiment(spec, args.bandwidth, args.threads, args.digest);
+  const auto report =
+      implicit_classify_experiment(spec, args.bandwidth, args.threads, args.digest);
   std::printf("sim-implicit family=%s n=%llu seed=%llu\n", implicit_family_name(spec.family),
               static_cast<unsigned long long>(spec.n),
               static_cast<unsigned long long>(spec.seed));
