@@ -130,7 +130,7 @@ void BM_UnrankPartition(benchmark::State& state) {
 BENCHMARK(BM_UnrankPartition)->Arg(9)->Arg(16)->Arg(25);
 
 // On-the-fly generation of one 256-row tile of M_n: unrank + streamed rows +
-// the union-find join kernel across all B_n columns.
+// one prefix-shared DFS per row over all B_n columns.
 void BM_TileGen(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::uint64_t bell = checked_bell_u64(n);

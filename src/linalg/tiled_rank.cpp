@@ -28,44 +28,104 @@ std::string_view bytes_view(const std::vector<std::uint64_t>& words) {
 // ---- join kernel -------------------------------------------------------------
 //
 // M_n(i, j) = 1 iff P_i ∨ P_j is the one-block partition, iff the blocks of
-// P_j connect all k blocks of P_i: union-find over P_i's block indices,
-// seeded by one scan of P_j's RGS. Allocation-free per column — the scratch
-// arrays are reused and reset in O(n).
+// P_j connect all k blocks of P_i. Columns run in RGS-lex order, so the
+// columns whose RGS starts with a given prefix form one contiguous index
+// range, of width D(n - len, max(prefix)) (partition/unrank.h).
+// JoinRowWalker fills a row as one depth-first walk over those prefixes.
+// Its state is a union-find over P_i's blocks without path compression, so
+// a merge writes one parent entry, restored on the way back up;
+// first[qb], the row block of the first element placed in column block qb;
+// the component count c; and the next column index j. Once element e is
+// placed:
+//   c == 1          every completion joins to one block: the subtree's
+//                   column range is all ones;
+//   c - 1 > n-1-e   each remaining element merges at most one pair, so no
+//                   completion reaches one block: all zeros, only j moves;
+//   otherwise       descend to element e + 1.
+// A leaf (e = n - 1) always meets one of the first two cases.
 
-std::uint32_t uf_find(std::vector<std::uint32_t>& parent, std::uint32_t x) {
-  while (parent[x] != x) {
-    parent[x] = parent[parent[x]];  // path halving
-    x = parent[x];
+// ORs ones into bits [lo, hi) of a packed row; requires lo < hi.
+void set_bit_range(std::uint64_t* row, std::uint64_t lo, std::uint64_t hi) {
+  const std::uint64_t first_word = lo / 64;
+  const std::uint64_t last_word = (hi - 1) / 64;
+  const std::uint64_t head = ~0ULL << (lo % 64);
+  const std::uint64_t tail = ~0ULL >> (63 - (hi - 1) % 64);
+  if (first_word == last_word) {
+    row[first_word] |= head & tail;
+    return;
   }
-  return x;
+  row[first_word] |= head;
+  std::fill(row + first_word + 1, row + last_word, ~0ULL);
+  row[last_word] |= tail;
 }
 
-// `first[qb]` caches the representative of the first P_i-block seen inside
-// Q-block qb; -1 = not seen yet. Both scratch vectors are sized n.
-bool join_is_coarsest(const std::vector<std::uint32_t>& p_rgs, std::uint32_t p_blocks,
-                      const std::vector<std::uint32_t>& q_rgs,
-                      std::vector<std::uint32_t>& parent, std::vector<std::int32_t>& first) {
-  if (p_blocks <= 1) return true;
-  const std::size_t n = p_rgs.size();
-  for (std::uint32_t b = 0; b < p_blocks; ++b) parent[b] = b;
-  std::fill(first.begin(), first.begin() + static_cast<std::ptrdiff_t>(n), -1);
-  std::uint32_t components = p_blocks;
-  for (std::size_t e = 0; e < n; ++e) {
-    const std::uint32_t qb = q_rgs[e];
-    const std::uint32_t pb = uf_find(parent, p_rgs[e]);
-    if (first[qb] < 0) {
-      first[qb] = static_cast<std::int32_t>(pb);
-    } else {
-      const std::uint32_t other = uf_find(parent, static_cast<std::uint32_t>(first[qb]));
-      if (other != pb) {
-        parent[other] = pb;
-        first[qb] = static_cast<std::int32_t>(pb);
-        if (--components == 1) return true;
-      }
+class JoinRowWalker {
+ public:
+  // Copies D(m, a) for m + a <= n - 1, every width the walk can ask for.
+  explicit JoinRowWalker(std::size_t n) : n_(n) {
+    for (std::size_t m = 0; m < n; ++m) {
+      for (std::size_t a = 0; m + a < n; ++a) width_[m][a] = rgs_extension_count(m, a);
     }
   }
-  return components == 1;
-}
+
+  // ORs the row of P (its RGS over the n elements) into `out`.
+  void fill_row(const std::vector<std::uint32_t>& p, std::uint64_t* out) {
+    p_ = p.data();
+    out_ = out;
+    j_ = 0;
+    components_ = *std::max_element(p.begin(), p.end()) + 1;
+    for (std::uint32_t b = 0; b < components_; ++b) parent_[b] = b;
+    first_[0] = p[0];
+    visit(0, 0);
+  }
+
+ private:
+  std::uint32_t find(std::uint32_t x) const {
+    while (parent_[x] != x) x = parent_[x];
+    return x;
+  }
+
+  // Element e has just been placed and the prefix maximum is a.
+  void visit(std::size_t e, std::uint32_t a) {
+    const std::size_t rest = n_ - 1 - e;
+    const std::uint64_t width = width_[rest][a];
+    if (components_ == 1) {
+      set_bit_range(out_, j_, j_ + width);
+    } else if (components_ - 1 <= rest) {
+      branch(e + 1, a);
+      return;
+    }
+    j_ += width;
+  }
+
+  // Tries each column block v of element e, 0..a+1 in lex order.
+  void branch(std::size_t e, std::uint32_t a) {
+    const std::uint32_t pb = find(p_[e]);
+    for (std::uint32_t v = 0; v <= a; ++v) {
+      const std::uint32_t other = find(first_[v]);
+      if (other == pb) {
+        visit(e, a);
+        continue;
+      }
+      parent_[other] = pb;
+      --components_;
+      visit(e, a);
+      parent_[other] = other;
+      ++components_;
+    }
+    first_[a + 1] = p_[e];
+    visit(e, a + 1);
+  }
+
+  std::size_t n_;
+  std::uint64_t width_[kMaxUnrankN][kMaxUnrankN] = {};
+  std::uint32_t parent_[kMaxUnrankN] = {};
+  std::uint32_t first_[kMaxUnrankN] = {};
+  const std::uint32_t* p_ = nullptr;
+  std::uint64_t* out_ = nullptr;
+  std::uint64_t j_ = 0;
+  std::uint32_t components_ = 0;
+};
 
 }  // namespace
 
@@ -111,27 +171,17 @@ JoinTile generate_join_tile(std::size_t n, std::size_t row_lo, std::size_t row_h
     tile.digest = fnv1a(bytes_view(tile.bits));
     return tile;
   }
-  // Rows shard across threads; each worker unranks its first row once and
-  // advances with next_rgs, streaming its own column sweep. Every bit is a
-  // pure function of (row index, column index), so the packed words are
-  // identical at any thread count.
+  // Rows shard across threads; each worker unranks its first row once,
+  // advances with next_rgs, and walks each row's columns with its own
+  // JoinRowWalker. Every bit is a pure function of (row index, column
+  // index), so the packed words are identical at any thread count.
   parallel_for_blocks(tile.rows, threads, [&](std::size_t begin, std::size_t end) {
     std::vector<std::uint32_t> row_rgs;
     unrank_rgs(n, row_lo + begin, row_rgs);
-    std::vector<std::uint32_t> col_rgs(n, 0);
-    std::vector<std::uint32_t> parent(n);
-    std::vector<std::int32_t> first(n);
+    JoinRowWalker walker(n);
     for (std::size_t r = begin; r < end; ++r) {
       if (r > begin) next_rgs(row_rgs);
-      const std::uint32_t p_blocks = *std::max_element(row_rgs.begin(), row_rgs.end()) + 1;
-      std::uint64_t* out = &tile.bits[r * tile.words_per_row];
-      std::fill(col_rgs.begin(), col_rgs.end(), 0);
-      for (std::size_t j = 0; j < tile.cols; ++j) {
-        if (join_is_coarsest(row_rgs, p_blocks, col_rgs, parent, first)) {
-          out[j / 64] |= 1ULL << (j % 64);
-        }
-        if (j + 1 < tile.cols) next_rgs(col_rgs);
-      }
+      walker.fill_row(row_rgs, &tile.bits[r * tile.words_per_row]);
     }
   });
   for (const std::uint64_t w : tile.bits) {

@@ -9,11 +9,15 @@
 //
 //   tile t = rows [t*K, t*K + K)        (K = tile_rows)
 //     1. generate_join_tile: unrank row lo (partition/unrank.h), stream the
-//        K row partitions with next_rgs, and for each row sweep all B_n
-//        column partitions with an allocation-free union-find join kernel,
-//        packing M_n(i, j) bits 64 per word. Rows shard across threads
-//        (common/parallel.h); every bit is a pure function of (i, j), so
-//        the tile is identical at any BCCLB_THREADS.
+//        K row partitions with next_rgs, and fill each row with one
+//        depth-first walk over column RGS prefixes: the columns sharing a
+//        prefix are one contiguous index range, so a prefix that already
+//        joins all of the row's blocks ORs its whole range to ones with word
+//        masks, and one that cannot (more components left than merges)
+//        skips its range; merges live in an undoable union-find over the
+//        row's blocks. Bits are packed 64 per word. Rows shard across
+//        threads (common/parallel.h); every bit is a pure function of
+//        (i, j), so the tile is identical at any BCCLB_THREADS.
 //     2. reduce the tile against every pivot row discovered by earlier
 //        tiles. Pivots stream through a bounded chunk buffer (sized from
 //        the memory budget, never more than one segment) in global

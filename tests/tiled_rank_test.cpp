@@ -1,5 +1,5 @@
 // Out-of-core tiled rank (linalg/tiled_rank.h): tile generation vs the dense
-// join matrix, tiled and packed rank vs the Stirling-sum prediction and the
+// join matrix and the lattice join, pinned tile digests, tiled and packed rank vs the Stirling-sum prediction and the
 // schoolbook eliminations, thread/tiling
 // invariance, checkpointed kill-free resume identity, corruption detection,
 // and memory-budget behaviour.
@@ -15,7 +15,9 @@
 #include "bcc/checkpoint.h"
 #include "common/errors.h"
 #include "partition/bell.h"
+#include "partition/enumeration.h"
 #include "partition/join_matrix.h"
+#include "partition/unrank.h"
 #include "schoolbook_rank.h"
 
 namespace bcclb {
@@ -40,7 +42,7 @@ TiledRankConfig base_config(std::size_t n, RankField field, std::size_t tile_row
 }
 
 TEST(JoinTile, MatchesDenseJoinMatrix) {
-  for (std::size_t n = 1; n <= 6; ++n) {
+  for (std::size_t n = 1; n <= 7; ++n) {
     const BoolMatrix dense = partition_join_matrix(n);
     const std::size_t bell = dense.rows;
     // A few representative windows, including ragged boundaries.
@@ -56,6 +58,52 @@ TEST(JoinTile, MatchesDenseJoinMatrix) {
         }
       }
     }
+  }
+}
+
+// M_8 windows against the lattice join itself, without the dense M_8: the
+// one-block row (all ones), the n-singletons row, and slices across the
+// order (word boundaries, mid-matrix, the last tile of 32).
+TEST(JoinTile, M8WindowsMatchLatticeJoin) {
+  const std::size_t n = 8;
+  const std::vector<SetPartition> cols = all_partitions(n);
+  const std::size_t bell = cols.size();
+  const std::size_t windows[][2] = {
+      {0, 1}, {bell - 1, bell}, {63, 65}, {2047, 2113}, {4108, 4140}};
+  for (const auto& w : windows) {
+    const JoinTile tile = generate_join_tile(n, w[0], w[1], 2);
+    ASSERT_EQ(tile.cols, bell);
+    for (std::size_t r = 0; r < tile.rows; ++r) {
+      const SetPartition row = unrank_partition(n, w[0] + r);
+      for (std::size_t c = 0; c < bell; ++c) {
+        ASSERT_EQ(tile.get(r, c), row.join(cols[c]).is_coarsest())
+            << "row " << w[0] + r << " col " << c;
+      }
+    }
+  }
+  EXPECT_EQ(generate_join_tile(n, 0, 1).ones, bell);           // ⊤ joins everything
+  EXPECT_EQ(generate_join_tile(n, bell - 1, bell).ones, 1u);   // only ⊤ joins ⊥ to ⊤
+}
+
+// Tile digests pinned at their measured values: any change to the kernel
+// that moves one bit of M_8 or M_9 breaks the certificate chain, and this
+// names the tile.
+TEST(JoinTile, PinnedDigests) {
+  struct Pin {
+    std::size_t n, lo, hi;
+    std::uint64_t ones, digest;
+  };
+  const Pin pins[] = {
+      {8, 0, 32, 99451, 0x68b4266888e4a5f7ULL},
+      {8, 2047, 2113, 122407, 0x17472d4b9f391f8aULL},
+      {8, 4108, 4140, 8893, 0x00d55215fad7fdc5ULL},
+      {9, 20635, 21147, 1728770, 0x26fd952e7b94767aULL},
+  };
+  for (const Pin& pin : pins) {
+    const JoinTile tile = generate_join_tile(pin.n, pin.lo, pin.hi, 2);
+    EXPECT_EQ(tile.ones, pin.ones) << "M_" << pin.n << " rows [" << pin.lo << ", " << pin.hi << ")";
+    EXPECT_EQ(tile.digest, pin.digest)
+        << "M_" << pin.n << " rows [" << pin.lo << ", " << pin.hi << ")";
   }
 }
 
