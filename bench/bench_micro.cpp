@@ -354,9 +354,10 @@ void BM_CoalescePlan(benchmark::State& state) {
 }
 BENCHMARK(BM_CoalescePlan)->Arg(64)->Arg(1024);
 
-// One fitness evaluation of a strategy table: the search inner loop — every
-// canonical instance at n through the RoundEngine plus the serial exact
-// tally. Budget planning for `bcclb search` reads straight off this number.
+// One fitness evaluation of a strategy table: the search inner loop — the
+// table's state machine over every canonical instance's flat start states,
+// plus the serial exact tally. Budget planning for `bcclb search` reads
+// straight off this number.
 void BM_StrategyEval(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const FitnessOracle oracle(n, 2);

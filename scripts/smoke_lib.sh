@@ -86,7 +86,9 @@ kill_after_checkpoint() {
     kill -9 "$pid" 2>/dev/null || true
     exit 1
   }
-  kill -9 "$pid"
+  # The victim may already have exited (a campaign whose jobs all fit in one
+  # batch writes its first checkpoint last); that case is the note below.
+  kill -9 "$pid" 2>/dev/null || true
   wait "$pid" 2>/dev/null || true
   if [ -f "$final" ]; then
     echo "note: victim finished before SIGKILL landed; resume degenerates to a no-op check"
@@ -105,7 +107,7 @@ interrupt_after_checkpoint() {
   "$@" >"$log" 2>&1 &
   pid=$!
   wait_for_checkpoint "$checkpoint" || true
-  kill -INT "$pid"
+  kill -INT "$pid" 2>/dev/null || true
   wait "$pid" || rc=$?
   if [ -f "$final" ]; then
     echo "note: SIGINT $what finished before the signal landed (rc=$rc)"

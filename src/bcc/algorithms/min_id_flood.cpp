@@ -189,8 +189,4 @@ std::size_t SoaMinIdFlood::state_bytes() const {
          queued_stamp_.capacity() * sizeof(std::uint32_t);
 }
 
-SoaProgramFactory soa_min_id_flood_factory() {
-  return [] { return std::make_unique<SoaMinIdFlood>(); };
-}
-
 }  // namespace bcclb

@@ -92,6 +92,4 @@ class SoaMinIdFlood final : public SoaProgram {
   std::vector<std::uint32_t> queued_stamp_;
 };
 
-SoaProgramFactory soa_min_id_flood_factory();
-
 }  // namespace bcclb

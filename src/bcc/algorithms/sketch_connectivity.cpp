@@ -141,17 +141,4 @@ AlgorithmFactory sketch_connectivity_factory(SketchConnectivityConfig config) {
   return [config] { return std::make_unique<SketchConnectivityAlgorithm>(config); };
 }
 
-RunResult run_sketch_connectivity(const InstanceView& view, unsigned bandwidth,
-                                  SketchConnectivityConfig config, const PublicCoins* coins) {
-  const auto factory = sketch_connectivity_factory(config);
-  const auto run = [&](const BccInstance& instance) {
-    RoundEngine engine;
-    const unsigned cap = SketchConnectivityAlgorithm::max_rounds(instance.num_vertices(),
-                                                                 bandwidth, config.copies);
-    return engine.run(instance, bandwidth, factory, cap, CoinSpec::public_coins(coins));
-  };
-  if (const BccInstance* instance = view.explicit_instance()) return run(*instance);
-  return run(view.to_explicit());
-}
-
 }  // namespace bcclb

@@ -10,7 +10,6 @@
 #pragma once
 
 #include "bcc/algorithms/bitstream.h"
-#include "bcc/instance_view.h"
 #include "bcc/round_engine.h"
 #include "sketch/graph_sketch.h"
 
@@ -56,13 +55,5 @@ class SketchConnectivityAlgorithm final : public VertexAlgorithm {
 };
 
 AlgorithmFactory sketch_connectivity_factory(SketchConnectivityConfig config = {});
-
-// View entry point: runs the sketch algorithm through the explicit engine,
-// materializing implicit views (sketch decoding is per-vertex state-heavy —
-// an enumeration-scale algorithm, so ImplicitInstance::materialize's size
-// ceiling is the right guard).
-RunResult run_sketch_connectivity(const InstanceView& view, unsigned bandwidth,
-                                  SketchConnectivityConfig config = {},
-                                  const PublicCoins* coins = nullptr);
 
 }  // namespace bcclb

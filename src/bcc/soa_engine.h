@@ -40,8 +40,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -148,8 +146,6 @@ class SoaProgram {
   // accounting the scale tests assert.
   virtual std::size_t state_bytes() const = 0;
 };
-
-using SoaProgramFactory = std::function<std::unique_ptr<SoaProgram>()>;
 
 struct SoaRunOptions {
   const FaultPlan* faults = nullptr;  // must outlive the run

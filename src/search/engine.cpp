@@ -22,12 +22,15 @@ void appendf(std::string& out, const char* fmt, Args... args) {
 // Tracks the unique global best under the (err_scaled, serialization)
 // order, and enforces the anomaly policy on every strict improvement.
 struct BestTracker {
+  explicit BestTracker(const FitnessOracle& o) : oracle(o) {}
+
   const FitnessOracle& oracle;
   StrategyTable best;
   FitnessResult best_score;
   std::string best_key;
   std::uint64_t improvements = 0;
   std::uint64_t floor_scaled = 0;
+  bool floor_is_for_best = false;  // floor_scaled was checked on `best` itself
   bool has_best = false;
 
   void offer(const StrategyTable& table, const FitnessResult& score) {
@@ -39,6 +42,7 @@ struct BestTracker {
       floor_scaled = oracle.check_candidate(table, score);
       ++improvements;
     }
+    floor_is_for_best = strict;
     best = table;
     best_score = score;
     best_key = key;
@@ -56,7 +60,9 @@ SearchOutcome outcome_of(const BestTracker& tracker, std::uint64_t evaluated) {
   // A tie-accepted final best may carry a different certificate than the
   // last strict improvement; re-verify it so the artifact reports *its*
   // floor (and the anomaly policy covers the exact table being published).
-  outcome.floor_scaled = tracker.oracle.check_candidate(tracker.best, tracker.best_score);
+  outcome.floor_scaled = tracker.floor_is_for_best
+                             ? tracker.floor_scaled
+                             : tracker.oracle.check_candidate(tracker.best, tracker.best_score);
   return outcome;
 }
 

@@ -10,28 +10,12 @@ namespace bcclb {
 
 namespace {
 
-// FNV-1a over the bytes of a u64 — the running-state mixer. The vertex
-// state hash must be a pure function of the local history in a fixed order,
-// nothing else; fnv keeps it cheap and portable.
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-constexpr std::uint64_t kStateBasis = 0xcbf29ce484222325ULL;
-
 class TableAlgorithm final : public VertexAlgorithm {
  public:
   explicit TableAlgorithm(const StrategyTable* table) : table_(table) {}
 
   void init(const LocalView& view) override {
-    state_ = kStateBasis;
-    state_ = mix(state_, view.id);
-    state_ = mix(state_, view.input_ports.size());
-    for (const Port p : view.input_ports) state_ = mix(state_, p);
+    state_ = strategy_start_state(view.id, view.input_ports);
     done_rounds_ = 0;
   }
 
@@ -42,16 +26,16 @@ class TableAlgorithm final : public VertexAlgorithm {
                                      : Message::one_bit(action == kActSend1);
     // The vertex's own broadcast is part of its state (the signature in
     // bcc/transcript.h includes everything sent).
-    state_ = mix(state_, action);
+    state_ = strategy_mix(state_, action);
     return m;
   }
 
   void receive(unsigned round, std::span<const Message> inbox) override {
-    state_ = mix(state_, round);
+    state_ = strategy_mix(state_, round);
     for (std::size_t p = 0; p < inbox.size(); ++p) {
       const Message& m = inbox[p];
-      state_ = mix(state_, p);
-      state_ = mix(state_, m.is_silent() ? 2 : (m.value() & 1));
+      state_ = strategy_mix(state_, p);
+      state_ = strategy_mix(state_, m.is_silent() ? 2 : (m.value() & 1));
     }
     ++done_rounds_;
   }
@@ -62,7 +46,7 @@ class TableAlgorithm final : public VertexAlgorithm {
 
  private:
   const StrategyTable* table_;
-  std::uint64_t state_ = kStateBasis;
+  std::uint64_t state_ = kStrategyStateBasis;
   unsigned done_rounds_ = 0;
 };
 
@@ -76,6 +60,13 @@ char action_char(std::uint8_t action) {
 }
 
 }  // namespace
+
+std::uint64_t strategy_start_state(std::uint64_t id, std::span<const Port> input_ports) {
+  std::uint64_t state = strategy_mix(kStrategyStateBasis, id);
+  state = strategy_mix(state, input_ports.size());
+  for (const Port p : input_ports) state = strategy_mix(state, p);
+  return state;
+}
 
 void validate_strategy(const StrategyTable& table) {
   BCCLB_REQUIRE(table.n >= 3, "strategy: n must be >= 3");

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,44 @@ void mutate_strategy(StrategyTable& table, Rng& rng, unsigned flips);
 // Row-range crossover: child takes a's broadcast rows [0, cut) and b's rows
 // [cut, rounds), with the vote table taken from one parent uniformly.
 StrategyTable crossover_strategy(const StrategyTable& a, const StrategyTable& b, Rng& rng);
+
+// The table strategy's state machine, defined once for both execution paths:
+// TableAlgorithm on the RoundEngine (strategy_factory) and the fitness
+// oracle's flat loop (search/fitness.h). A vertex's state is a running
+// FNV-1a hash that folds in one u64 at a time, low byte first.
+inline constexpr std::uint64_t kStrategyStateBasis = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+// P^8 mod 2^64: eight FNV-1a steps over zero bytes are eight multiplies.
+inline constexpr std::uint64_t kFnvPrime8 = kFnvPrime * kFnvPrime * kFnvPrime * kFnvPrime *
+                                            kFnvPrime * kFnvPrime * kFnvPrime * kFnvPrime;
+
+// strategy_mix for a value below 256. Its seven upper bytes are zero and XOR
+// with 0 changes nothing, so the bytewise loop is (h ^ v) · P^8.
+constexpr std::uint64_t strategy_mix_byte(std::uint64_t h, std::uint8_t v) {
+  return (h ^ v) * kFnvPrime8;
+}
+
+// FNV-1a over the eight bytes of v, low byte first.
+constexpr std::uint64_t strategy_mix(std::uint64_t h, std::uint64_t v) {
+  if (v <= 0xff) return strategy_mix_byte(h, static_cast<std::uint8_t>(v));
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+// The state a vertex starts from: its ID, its input-port count, then each
+// input port. A pure function of the KT-0 view; no table cell enters it.
+std::uint64_t strategy_start_state(std::uint64_t id, std::span<const Port> input_ports);
+
+// Each round a vertex broadcasts table.broadcast[round * K + state % K] and
+// folds that action into its state; then it folds in the round and, for each
+// port p in order, p and the code of what it heard there: 0 or 1 for a bit,
+// 2 for silence. It votes NO iff table.vote_no[state % K] != 0.
+constexpr std::uint8_t strategy_heard_code(std::uint8_t action) {
+  return action == kActSilent ? 2 : action == kActSend1 ? 1 : 0;
+}
 
 // The VertexAlgorithm a table drives: a running FNV-1a hash of the vertex's
 // full local history (ID, input ports, everything sent and received with its

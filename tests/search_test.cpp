@@ -20,6 +20,9 @@
 #include "common/errors.h"
 #include "core/decision_optimizer.h"
 #include "bcc/algorithms/two_cycle_adversaries.h"
+#include "bcc/round_engine.h"
+#include "crossing/ported_instance.h"
+#include "graph/cycle_structure.h"
 #include "search/campaign.h"
 #include "search/engine.h"
 #include "search/fitness.h"
@@ -111,6 +114,82 @@ TEST(Strategy, MutationAndCrossoverPreserveValidity) {
   }
 }
 
+// FNV-1a over the eight bytes of v, low byte first, one step per byte.
+std::uint64_t bytewise_mix(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The score of `table` from its own RoundEngine runs of strategy_factory on
+// freshly built canonical instances, tallied here rather than by the oracle.
+FitnessResult engine_score(const FitnessOracle& oracle, const StrategyTable& table) {
+  const AlgorithmFactory factory = strategy_factory(table);
+  RoundEngine engine;
+  FitnessResult score;
+  score.denom = oracle.denom();
+  for (const CycleStructure& cs : all_one_cycle_structures(oracle.n())) {
+    if (!engine.run(canonical_kt0_instance(cs), 1, factory, oracle.rounds()).decision) {
+      ++score.wrong_yes;
+    }
+  }
+  for (const CycleStructure& cs : all_two_cycle_structures(oracle.n())) {
+    if (engine.run(canonical_kt0_instance(cs), 1, factory, oracle.rounds()).decision) {
+      ++score.wrong_no;
+    }
+  }
+  score.err_scaled = score.wrong_yes * oracle.v2_count() + score.wrong_no * oracle.v1_count();
+  return score;
+}
+
+TEST(Strategy, OneMultiplyMixEqualsTheBytewiseLoop) {
+  for (const std::uint64_t h : {kStrategyStateBasis, std::uint64_t{0}, ~std::uint64_t{0}}) {
+    for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2},
+                                  std::uint64_t{255}, std::uint64_t{256},
+                                  std::uint64_t{1} << 63}) {
+      EXPECT_EQ(strategy_mix(h, v), bytewise_mix(h, v)) << "h " << h << " v " << v;
+      if (v <= 0xff) {
+        EXPECT_EQ(strategy_mix_byte(h, static_cast<std::uint8_t>(v)), bytewise_mix(h, v));
+      }
+    }
+  }
+}
+
+TEST(Fitness, FlatEvaluationMatchesTheRoundEngine) {
+  Rng rng(2027);
+  const BatchRunner serial(1);
+  const BatchRunner wide(3);
+  for (const std::size_t n : {6, 7, 8}) {
+    for (unsigned rounds = 1; rounds <= 3; ++rounds) {
+      const FitnessOracle oracle(n, rounds);
+      for (std::uint32_t buckets = 1; buckets <= 8; ++buckets) {
+        const StrategyTable random =
+            random_strategy(static_cast<std::uint32_t>(n), rounds, buckets, rng);
+        // The constant tables keep the random votes, so the final state
+        // hash still decides the answer.
+        StrategyTable silent = random;
+        silent.broadcast.assign(silent.broadcast.size(), kActSilent);
+        StrategyTable send1 = random;
+        send1.broadcast.assign(send1.broadcast.size(), kActSend1);
+        const StrategyTable* const tables[] = {&random, &silent, &send1};
+        for (const StrategyTable* table : tables) {
+          const FitnessResult flat = oracle.evaluate(*table, serial);
+          ASSERT_EQ(flat, engine_score(oracle, *table))
+              << "n " << n << " rounds " << rounds << "\n" << serialize_strategy(*table);
+          ASSERT_EQ(oracle.evaluate(*table, wide), flat);
+        }
+        ASSERT_EQ(oracle.engine_replay(random), oracle.evaluate(random, serial));
+      }
+    }
+  }
+  // The all-silent all-YES table, the E17 anchor, on both paths.
+  const FitnessOracle oracle(7, 2);
+  EXPECT_EQ(oracle.evaluate(silent_always_yes(7, 2, 4), serial),
+            engine_score(oracle, silent_always_yes(7, 2, 4)));
+}
+
 TEST(Fitness, SilentAlwaysYesScoresExactlyHalf) {
   // The E17 anchor: with silent broadcasts and all-YES votes the error is
   // all of V2's mass = 1/2, in exact integers.
@@ -170,6 +249,26 @@ TEST(Fitness, ImpossibleScoreIsAVerifierAnomalyNotADiscovery) {
   const auto real = oracle.evaluate(table, BatchRunner(2));
   EXPECT_EQ(oracle.check_candidate(table, real), floor);
   EXPECT_GE(real.err_scaled, floor);
+}
+
+TEST(Fitness, ScoreDisagreeingWithTheEngineReplayIsAnAnomaly) {
+  const FitnessOracle oracle(6, 1);
+  const StrategyTable table = silent_always_yes(6, 1, 2);
+  const std::uint64_t floor = oracle.certificate_floor_scaled(table);
+  ASSERT_GT(floor, 0u);
+  // One below the floor, and not what the RoundEngine replay scores.
+  FitnessResult claimed;
+  claimed.denom = oracle.denom();
+  claimed.err_scaled = floor - 1;
+  ASSERT_NE(claimed, oracle.engine_replay(table));
+  try {
+    oracle.check_candidate(table, claimed);
+    FAIL() << "a below-floor score was accepted as a discovery";
+  } catch (const VerifierAnomalyError& e) {
+    EXPECT_NE(std::string(e.what()).find("the RoundEngine replay disagrees with that score"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Search, SeededDriversRediscoverTheExhaustiveOptimum) {
