@@ -23,8 +23,8 @@ int main() {
       for (unsigned t : {1u, 2u}) {
         const auto factory = two_cycle_adversary_factory(kind, t, always_yes_rule());
         const auto rep = kt0_matching_experiment(n, t, factory, &coins);
-        std::string label = rep.best_label;
-        label.insert(t, "|");
+        const std::string label =
+            rep.best_label.substr(0, t) + "|" + rep.best_label.substr(t);
         std::printf("%-12s %2zu %2u | %-10s %9zu %3u | %13.4f %9.4f\n",
                     adversary_kind_name(kind), n, t, label.c_str(), rep.max_matching,
                     rep.max_saturating_k, rep.matching_error_bound, rep.measured_error);

@@ -11,11 +11,15 @@
 #   2. threads    — BCCLB_THREADS=8 must reproduce every artifact and the
 #                   golden file byte-for-byte: the drivers draw randomness
 #                   serially and only the fitness fan-out is parallel.
-#   3. victim     — throttled between batches (BCCLB_CAMPAIGN_BATCH_DELAY_MS)
-#                   so a real SIGKILL lands after the first checkpoint flush,
-#                   then `search --resume` must finish to identical bytes.
-#   4. sigint     — graceful interrupt: flush a checkpoint, exit 130, resume
-#                   to identical bytes.
+#   3. victim     — run at a batch width of 2 (BCCLB_THREADS=2, so the six
+#                   cells take three batches) and throttled between batches
+#                   (BCCLB_CAMPAIGN_BATCH_DELAY_MS) so a real SIGKILL lands
+#                   after the first checkpoint flush; then `search --resume`
+#                   at the caller's BCCLB_THREADS must finish to identical
+#                   bytes. A victim that finished before the kill fails.
+#   4. sigint     — graceful interrupt at the same width of 2: flush a
+#                   checkpoint, exit 130, resume at the caller's width to
+#                   identical bytes. A run that finished first fails.
 #   5. refusals   — unimplemented bandwidth and an over-cap exhaustive cell
 #                   must exit 2 with usage, never crash or run unbounded.
 #
@@ -53,29 +57,42 @@ echo "== thread-count identity (BCCLB_THREADS=8)"
 BCCLB_THREADS=8 "$BCCLB" search "$WORK/threads" >/dev/null
 cmp_campaign "$WORK/ref" "$WORK/threads"
 
-echo "== victim run (SIGKILL after first checkpoint)"
+# The interrupted legs run at a batch width below the campaign's six cells,
+# so the signal always lands between batches, whatever BCCLB_THREADS the
+# script itself runs at; each resume then runs at that width.
+INTERRUPT_WIDTH=2
+
+echo "== victim run (SIGKILL after first checkpoint, BCCLB_THREADS=$INTERRUPT_WIDTH)"
 kill_after_checkpoint "$WORK/victim/checkpoint.bcclb" "$WORK/victim/campaign.txt" \
   "$WORK/victim.log" checkpoint \
-  env BCCLB_CAMPAIGN_BATCH_DELAY_MS=400 "$BCCLB" search "$WORK/victim"
+  env BCCLB_THREADS=$INTERRUPT_WIDTH BCCLB_CAMPAIGN_BATCH_DELAY_MS=400 \
+  "$BCCLB" search "$WORK/victim"
+if [ -f "$WORK/victim/campaign.txt" ]; then
+  echo "FAIL: victim finished before SIGKILL landed; nothing was interrupted" >&2
+  exit 1
+fi
 
 echo "== resume run"
 "$BCCLB" search --resume "$WORK/victim" >/dev/null
 cmp_campaign "$WORK/ref" "$WORK/victim"
 echo "PASS: kill -9 + --resume is bit-identical to an uninterrupted run"
 
-echo "== SIGINT run (graceful interrupt, exit 130)"
-if interrupt_after_checkpoint "$WORK/sigint/checkpoint.bcclb" "$WORK/sigint/campaign.txt" \
+echo "== SIGINT run (graceful interrupt, exit 130, BCCLB_THREADS=$INTERRUPT_WIDTH)"
+interrupt_after_checkpoint "$WORK/sigint/checkpoint.bcclb" "$WORK/sigint/campaign.txt" \
   "$WORK/sigint.log" search \
-  env BCCLB_CAMPAIGN_BATCH_DELAY_MS=400 "$BCCLB" search "$WORK/sigint"; then
-  grep -q "resume with: bcclb search --resume" "$WORK/sigint.log" || {
-    echo "FAIL: interrupted CLI did not print the resume hint" >&2
-    cat "$WORK/sigint.log" >&2
-    exit 1
-  }
-  "$BCCLB" search --resume "$WORK/sigint" >/dev/null
-  cmp_campaign "$WORK/ref" "$WORK/sigint"
-  echo "PASS: SIGINT flushed a resumable checkpoint and exited 130"
-fi
+  env BCCLB_THREADS=$INTERRUPT_WIDTH BCCLB_CAMPAIGN_BATCH_DELAY_MS=400 \
+  "$BCCLB" search "$WORK/sigint" || {
+  echo "FAIL: SIGINT run finished before the signal landed; nothing was interrupted" >&2
+  exit 1
+}
+grep -q "resume with: bcclb search --resume" "$WORK/sigint.log" || {
+  echo "FAIL: interrupted CLI did not print the resume hint" >&2
+  cat "$WORK/sigint.log" >&2
+  exit 1
+}
+"$BCCLB" search --resume "$WORK/sigint" >/dev/null
+cmp_campaign "$WORK/ref" "$WORK/sigint"
+echo "PASS: SIGINT flushed a resumable checkpoint and exited 130"
 
 echo "== refusal legs (clean exits, no crash)"
 # Flag-level refusal (unimplemented bandwidth): usage, exit 2.

@@ -14,18 +14,23 @@
 // at any BCCLB_THREADS.
 //
 // The oracle also owns the anomaly policy (DESIGN.md §11): a new best
-// candidate is checked against its own Theorem 3.1 matching certificate
-// (kt0_matching_experiment). |M| crossed pairs must each absorb min(µ1, µ2)
-// error, so scaled error < |M|·min(|V1|, |V2|) is mathematically impossible
-// — such a score is replayed through the RoundEngine (strategy_factory on
-// freshly built canonical instances, the second execution path) and thrown
-// as VerifierAnomalyError either way: a verifier bug, not a discovery.
+// candidate is checked against its own Theorem 3.1 matching certificate.
+// The certificate comes from the same flat start-state table: the oracle
+// runs the table over V1, takes the heaviest transcript label (x, y), and
+// builds G^t_{x,y} and its maximum matching M. |M| crossed pairs must each
+// absorb min(µ1, µ2) error, so scaled error < |M|·min(|V1|, |V2|) is
+// mathematically impossible. Such a score is replayed on the RoundEngine,
+// the second execution path: the score through strategy_factory on freshly
+// built canonical instances, the floor through kt0_matching_experiment (the
+// referee certificate). It is thrown as VerifierAnomalyError either way,
+// naming whichever replay disagreed: a verifier bug, not a discovery.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "bcc/batch_runner.h"
+#include "graph/cycle_structure.h"
 #include "search/strategy.h"
 
 namespace bcclb {
@@ -46,8 +51,9 @@ struct FitnessResult {
 
 class FitnessOracle {
  public:
-  // Enumerates the canonical instances once and records every vertex's
-  // start state; 6 <= n <= 9 (the exhaustive range the decision optimizer
+  // Enumerates the canonical instances once, keeps the enumerations, and
+  // records every vertex's start state and every one-cycle's clockwise
+  // edges; 6 <= n <= 9 (the exhaustive range the decision optimizer
   // supports).
   FitnessOracle(std::size_t n, unsigned rounds);
 
@@ -69,16 +75,20 @@ class FitnessOracle {
   // through one RoundEngine, serially, on freshly built canonical instances.
   FitnessResult engine_replay(const StrategyTable& table) const;
 
-  // The candidate's own certified floor, scaled to denom(): builds the
-  // Theorem 3.1 indistinguishability graph for the strategy's transcripts
-  // and returns max_matching · min(|V1|, |V2|). Any valid evaluation
-  // satisfies err_scaled >= this value.
+  // The candidate's own certified floor, scaled to denom(). Runs the table
+  // over V1 on the flat start-state table, picks the label (x, y) of most
+  // active-edge mass as kt0_matching_experiment does, builds the Theorem 3.1
+  // indistinguishability graph G^t_{x,y} on one thread and returns
+  // max_matching · min(|V1|, |V2|): the floor kt0_matching_experiment gives,
+  // without its RoundEngine runs. Any valid evaluation satisfies
+  // err_scaled >= this value. table.rounds must equal rounds().
   std::uint64_t certificate_floor_scaled(const StrategyTable& table) const;
 
   // The anomaly policy: if `score.err_scaled` < the candidate's certificate
-  // floor, replays the table through the RoundEngine (engine_replay) and
-  // throws VerifierAnomalyError whether the impossible score reproduces or
-  // the replay disagrees with it — either way the toolchain, not the
+  // floor, replays the score (engine_replay) and the floor
+  // (kt0_matching_experiment, the referee certificate) on the RoundEngine
+  // and throws VerifierAnomalyError naming which of them disagrees — the
+  // score, the floor, or neither. Either way the toolchain, not the
   // candidate, is broken. Returns the certificate floor it checked against,
   // for reporting.
   std::uint64_t check_candidate(const StrategyTable& table, const FitnessResult& score) const;
@@ -94,6 +104,14 @@ class FitnessOracle {
   std::vector<std::uint64_t> start_states_;
   // [v * (n - 1) + p]: the peer behind port p of v in Wiring::kt1(n).
   std::vector<std::uint8_t> peers_;
+  // V1 and V2 in enumeration order, for the certificate's graph build and
+  // engine_replay.
+  std::vector<CycleStructure> one_cycles_;
+  std::vector<CycleStructure> two_cycles_;
+  // [i * n + e]: tail and head of one-cycle i's e-th clockwise edge, in
+  // CycleStructure::directed_edges() order.
+  std::vector<std::uint8_t> edge_tails_;
+  std::vector<std::uint8_t> edge_heads_;
 };
 
 // Candidate ordering for every driver: strictly smaller scaled error wins;

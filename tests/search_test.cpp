@@ -19,6 +19,7 @@
 #include "bcc/checkpoint.h"
 #include "common/errors.h"
 #include "core/decision_optimizer.h"
+#include "core/kt0_engine.h"
 #include "bcc/algorithms/two_cycle_adversaries.h"
 #include "bcc/round_engine.h"
 #include "crossing/ported_instance.h"
@@ -217,6 +218,61 @@ TEST(Fitness, EvaluationIsThreadCountInvariant) {
   EXPECT_EQ(serial, wide);
 }
 
+StrategyTable uniform_broadcast(std::uint32_t n, std::uint32_t rounds, std::uint32_t buckets,
+                                std::uint8_t action) {
+  StrategyTable table = silent_always_yes(n, rounds, buckets);
+  table.broadcast.assign(table.broadcast.size(), action);
+  return table;
+}
+
+// The flat certificate (the oracle's own transcripts, label census and
+// graph build) must equal the RoundEngine referee's floor on every shape:
+// random tables and the two single-label extremes, all-silent and
+// all-send-1. Three random tables per shape, because a wrong label order
+// or edge orientation moves only the floors of tables whose label masses
+// tie or are asymmetric.
+TEST(Fitness, FlatCertificateMatchesTheMatchingExperiment) {
+  Rng rng(28);
+  std::size_t tables = 0;
+  for (const std::uint32_t n : {6u, 7u, 8u}) {
+    for (std::uint32_t t = 1; t <= 3; ++t) {
+      const FitnessOracle oracle(n, t);
+      const std::uint64_t weight = std::min(oracle.v1_count(), oracle.v2_count());
+      for (std::uint32_t k = 1; k <= 8; ++k) {
+        for (const StrategyTable& table :
+             {random_strategy(n, t, k, rng), random_strategy(n, t, k, rng),
+              random_strategy(n, t, k, rng), uniform_broadcast(n, t, k, kActSilent),
+              uniform_broadcast(n, t, k, kActSend1)}) {
+          const auto referee = kt0_matching_experiment(n, t, strategy_factory(table));
+          EXPECT_EQ(oracle.certificate_floor_scaled(table), referee.max_matching * weight)
+              << "n=" << n << " t=" << t << " K=" << k << "\n"
+              << serialize_strategy(table);
+          ++tables;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(tables, 3u * 3u * 8u * 5u);
+}
+
+// Six rounds at n = 7 give well over a hundred distinct sent strings, so
+// the certificate's sent-string ranks and label keys span a wide range; it
+// must still pick the referee's label.
+TEST(Fitness, FlatCertificateMatchesTheMatchingExperimentOnLongTranscripts) {
+  Rng rng(6);
+  const FitnessOracle oracle(7, 6);
+  const std::uint64_t weight = std::min(oracle.v1_count(), oracle.v2_count());
+  for (int i = 0; i < 3; ++i) {
+    const StrategyTable table = random_strategy(7, 6, 8, rng);
+    const auto referee = kt0_matching_experiment(7, 6, strategy_factory(table));
+    EXPECT_EQ(oracle.certificate_floor_scaled(table), referee.max_matching * weight)
+        << serialize_strategy(table);
+  }
+  // A certificate is for the oracle's own round count.
+  EXPECT_THROW((void)oracle.certificate_floor_scaled(silent_always_yes(7, 5, 2)),
+               std::invalid_argument);
+}
+
 TEST(Fitness, CandidateOrderIsTotalAndDeterministic) {
   FitnessResult better, worse;
   better.err_scaled = 10;
@@ -265,9 +321,13 @@ TEST(Fitness, ScoreDisagreeingWithTheEngineReplayIsAnAnomaly) {
     oracle.check_candidate(table, claimed);
     FAIL() << "a below-floor score was accepted as a discovery";
   } catch (const VerifierAnomalyError& e) {
-    EXPECT_NE(std::string(e.what()).find("the RoundEngine replay disagrees with that score"),
-              std::string::npos)
-        << e.what();
+    const std::string what = e.what();
+    EXPECT_NE(what.find("the RoundEngine replay disagrees with that score"), std::string::npos)
+        << what;
+    // The floor is replayed too, and the referee certificate agrees with it.
+    EXPECT_NE(what.find("the RoundEngine certificate confirms that floor"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("the RoundEngine certificate disagrees"), std::string::npos) << what;
   }
 }
 
