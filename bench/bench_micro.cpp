@@ -400,6 +400,23 @@ void BM_ImplicitNeighborQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_ImplicitNeighborQuery)->Arg(1 << 10)->Arg(1 << 17)->Arg(1 << 20);
 
+// The whole input graph in one walk over cycle positions (the SoA flood's
+// init), at cold_flood's n and at the scale run's.
+void BM_ImplicitAdjacency(benchmark::State& state) {
+  ImplicitSpec spec;
+  spec.n = static_cast<std::uint64_t>(state.range(0));
+  spec.family = ImplicitFamily::kOneCycle;
+  spec.seed = 2019;
+  const ImplicitInstance inst(spec);
+  std::vector<std::uint64_t> offsets;
+  std::vector<VertexId> targets;
+  for (auto _ : state) {
+    inst.adjacency(offsets, targets);
+    benchmark::DoNotOptimize(targets.data());
+  }
+}
+BENCHMARK(BM_ImplicitAdjacency)->Arg(1 << 15)->Arg(1000000)->Unit(benchmark::kMillisecond);
+
 void BM_ImplicitPeerQuery(benchmark::State& state) {
   ImplicitSpec spec;
   spec.n = static_cast<std::uint64_t>(state.range(0));

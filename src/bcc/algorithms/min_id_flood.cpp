@@ -68,15 +68,7 @@ void SoaMinIdFlood::init(const InstanceView& view, unsigned bandwidth,
   labels_.resize(n_);
   for (VertexId v = 0; v < n_; ++v) labels_[v] = view.id_of(v);
 
-  // Input graph to CSR, one neighbors() query per vertex.
-  adj_offsets_.assign(n_ + 1, 0);
-  adj_targets_.clear();
-  std::vector<VertexId> nbrs;
-  for (VertexId v = 0; v < n_; ++v) {
-    view.neighbors(v, nbrs);
-    adj_offsets_[v + 1] = adj_offsets_[v] + nbrs.size();
-    adj_targets_.insert(adj_targets_.end(), nbrs.begin(), nbrs.end());
-  }
+  view.adjacency(adj_offsets_, adj_targets_);
 
   frontier_.clear();
   next_frontier_.clear();

@@ -81,8 +81,9 @@ class SoaMinIdFlood final : public SoaProgram {
   unsigned rounds_done_ = 0;
   bool all_equal_ = false;
   std::vector<std::uint64_t> labels_;
-  // Input graph as CSR, built once from the view (O(n) for the implicit
-  // families, whose degrees are constants).
+  // Input graph as CSR, read once through InstanceView::adjacency: one pi
+  // evaluation per cycle position for the implicit cycle families, exactly
+  // 2n targets; one neighbors() call per vertex otherwise.
   std::vector<std::uint64_t> adj_offsets_;
   std::vector<VertexId> adj_targets_;
   // Frontier state: vertices whose label changed in the previous receive,

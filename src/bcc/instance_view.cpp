@@ -24,6 +24,21 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t x) {
   return h;
 }
 
+// The input graph as CSR from one neighbors(v) query per vertex: the
+// general path, for sources with no closed-form layout to walk.
+template <typename Source>
+void adjacency_by_rows(const Source& source, std::size_t n, std::vector<std::uint64_t>& offsets,
+                       std::vector<VertexId>& targets) {
+  offsets.assign(n + 1, 0);
+  targets.clear();
+  std::vector<VertexId> nbrs;
+  for (VertexId v = 0; v < n; ++v) {
+    source.neighbors(v, nbrs);
+    offsets[v + 1] = offsets[v] + nbrs.size();
+    targets.insert(targets.end(), nbrs.begin(), nbrs.end());
+  }
+}
+
 }  // namespace
 
 const char* implicit_family_name(ImplicitFamily family) {
@@ -159,6 +174,43 @@ void ImplicitInstance::neighbors(VertexId v, std::vector<VertexId>& out) const {
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
+void ImplicitInstance::adjacency(std::vector<std::uint64_t>& offsets,
+                                 std::vector<VertexId>& targets) const {
+  const std::uint64_t n = spec_.n;
+  if (spec_.family == ImplicitFamily::kRandomRegular) {
+    adjacency_by_rows(*this, n, offsets, targets);
+    return;
+  }
+  // Every segment has length >= 3, so each vertex has exactly two distinct
+  // neighbours and row v is targets[2v, 2v + 2).
+  offsets.resize(n + 1);
+  for (std::uint64_t v = 0; v <= n; ++v) offsets[v] = 2 * v;
+  targets.assign(2 * n, 0);
+  const auto write_row = [&](VertexId v, VertexId a, VertexId b) {
+    targets[2 * std::size_t{v}] = std::min(a, b);
+    targets[2 * std::size_t{v} + 1] = std::max(a, b);
+  };
+  // One segment at a time, positions in order: when the walk reaches `next`,
+  // both neighbours of `cur` are known. The segment's first vertex waits for
+  // the wrap edge from its last, so its second vertex is kept too.
+  for (std::uint64_t end = 0; end < n;) {
+    std::uint64_t start = 0, length = 0;
+    segment_of(end, start, length);
+    const VertexId first = vertex_at(start);
+    const VertexId second = vertex_at(start + 1);
+    VertexId prev = first, cur = second;
+    for (std::uint64_t pos = start + 2; pos < start + length; ++pos) {
+      const VertexId next = vertex_at(pos);
+      write_row(cur, prev, next);
+      prev = cur;
+      cur = next;
+    }
+    write_row(cur, prev, first);
+    write_row(first, second, cur);
+    end = start + length;
+  }
+}
+
 std::vector<Port> ImplicitInstance::input_ports(VertexId v) const {
   std::vector<VertexId> nbrs;
   neighbors(v, nbrs);
@@ -205,11 +257,12 @@ BccInstance ImplicitInstance::materialize() const {
     for (Port p = 0; p + 1 < n; ++p) tables[v].push_back(peer(v, p));
   }
   Graph graph(n);
-  std::vector<VertexId> nbrs;
+  std::vector<std::uint64_t> offsets;
+  std::vector<VertexId> targets;
+  adjacency(offsets, targets);
   for (VertexId v = 0; v < n; ++v) {
-    neighbors(v, nbrs);
-    for (VertexId u : nbrs) {
-      if (v < u) graph.add_edge(v, u);
+    for (std::uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      if (v < targets[i]) graph.add_edge(v, targets[i]);
     }
   }
   return BccInstance(Wiring(std::move(tables)), std::move(graph), spec_.mode);
@@ -254,6 +307,15 @@ void InstanceView::neighbors(VertexId v, std::vector<VertexId>& out) const {
   const auto& adj = std::get<const BccInstance*>(impl_)->input().neighbors(v);
   out.assign(adj.begin(), adj.end());
   std::sort(out.begin(), out.end());
+}
+
+void InstanceView::adjacency(std::vector<std::uint64_t>& offsets,
+                             std::vector<VertexId>& targets) const {
+  if (const auto* imp = std::get_if<ImplicitInstance>(&impl_)) {
+    imp->adjacency(offsets, targets);
+    return;
+  }
+  adjacency_by_rows(*this, num_vertices(), offsets, targets);
 }
 
 std::vector<Port> InstanceView::input_ports(VertexId v) const {

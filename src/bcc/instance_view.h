@@ -15,7 +15,10 @@
 //   graph    a global permutation pi of [n] assigns vertices to positions;
 //            the family (one cycle, two cycles, k cycles, union of random
 //            permutations) is closed-form over positions, so neighbors(v)
-//            is O(1) permutation evaluations.
+//            is O(1) permutation evaluations. Whole-graph readers take
+//            adjacency() instead: for the cycle families it walks positions
+//            0..n-1 once, one forward pi evaluation per position, where n
+//            neighbors() calls would cost three evaluations each.
 //   ids      id_of(v) = v. The interesting randomness is where pi *places*
 //            the IDs, not what they are.
 //
@@ -84,6 +87,13 @@ class ImplicitInstance {
   // `out` (which is cleared first). O(1) permutation evaluations.
   void neighbors(VertexId v, std::vector<VertexId>& out) const;
 
+  // The whole input graph as CSR: row v is targets[offsets[v],
+  // offsets[v+1]) and equals neighbors(v), same entries in the same order.
+  // Both vectors are overwritten. The cycle families are built in one walk
+  // over positions, one pi evaluation each and no O(n) scratch beyond the
+  // output; kRandomRegular takes one neighbors() call per vertex.
+  void adjacency(std::vector<std::uint64_t>& offsets, std::vector<VertexId>& targets) const;
+
   // Ports of v carrying input edges, sorted — the LocalView field.
   std::vector<Port> input_ports(VertexId v) const;
 
@@ -134,6 +144,10 @@ class InstanceView {
   VertexId peer(VertexId v, Port p) const;
   Port port_at(VertexId v, VertexId u) const;
   void neighbors(VertexId v, std::vector<VertexId>& out) const;
+  // The input graph as CSR, row v equal to neighbors(v); the bulk read every
+  // whole-graph consumer uses. Explicit views take one neighbors() call per
+  // vertex, implicit ones ImplicitInstance::adjacency.
+  void adjacency(std::vector<std::uint64_t>& offsets, std::vector<VertexId>& targets) const;
   std::vector<Port> input_ports(VertexId v) const;
 
   // Explicit: BccInstance::digest() (O(n^2), error paths only). Implicit:

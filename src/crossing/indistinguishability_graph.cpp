@@ -36,7 +36,7 @@ namespace {
 // materialization and node allocations, this probes one or two cache lines.
 class PackedIndex {
  public:
-  explicit PackedIndex(const std::vector<CycleStructure>& structures) {
+  explicit PackedIndex(std::span<const CycleStructure> structures) {
     std::size_t cap = 16;
     while (cap < structures.size() * 2) cap <<= 1;
     mask_ = cap - 1;
@@ -80,21 +80,18 @@ class PackedIndex {
 
 }  // namespace
 
-IndistinguishabilityGraph build_indistinguishability_graph(
-    std::vector<CycleStructure> one_cycles, std::vector<CycleStructure> two_cycles,
-    const ActiveEdgeTable& active, unsigned num_threads) {
+CsrAdjacency build_indistinguishability_adjacency(std::span<const CycleStructure> one_cycles,
+                                                  std::span<const CycleStructure> two_cycles,
+                                                  const ActiveEdgeTable& active,
+                                                  unsigned num_threads) {
   BCCLB_REQUIRE(!one_cycles.empty(), "empty V1");
   BCCLB_REQUIRE(active.num_rows() == one_cycles.size(),
                 "active-edge table must have one row per one-cycle");
   const std::size_t n = one_cycles.front().num_vertices();
   BCCLB_REQUIRE(n <= kMaxPackedVertices, "packed kernel supports n <= 16");
+  const std::size_t v1 = one_cycles.size();
 
-  IndistinguishabilityGraph g;
-  g.one_cycles = std::move(one_cycles);
-  g.two_cycles = std::move(two_cycles);
-  const std::size_t v1 = g.one_cycles.size();
-
-  const PackedIndex index(g.two_cycles);
+  const PackedIndex index(two_cycles);
 
   // Fixed-stride scratch: row i owns scratch[i*cap, i*cap+cap). cap is the
   // worst-case pair count over all rows, so workers never contend and the
@@ -119,7 +116,7 @@ IndistinguishabilityGraph build_indistinguishability_graph(
     const std::size_t begin = w * base + std::min(w, extra);
     const std::size_t end = begin + base + (w < extra ? 1 : 0);
     for (std::size_t i = begin; i < end; ++i) {
-      const PackedStructure succ = g.one_cycles[i].packed_successors();
+      const PackedStructure succ = one_cycles[i].packed_successors();
       const std::span<const DirectedEdge> act = active.row(i);
       std::uint32_t* out = scratch.data() + i * cap;
       std::uint32_t cnt = 0;
@@ -147,14 +144,25 @@ IndistinguishabilityGraph build_indistinguishability_graph(
   });
 
   // Ordered merge into CSR, serially over ascending i.
-  g.adj.offsets.assign(v1 + 1, 0);
+  CsrAdjacency adj;
+  adj.offsets.assign(v1 + 1, 0);
   for (std::size_t i = 0; i < v1; ++i) {
-    g.adj.offsets[i + 1] = g.adj.offsets[i] + counts[i];
+    adj.offsets[i + 1] = adj.offsets[i] + counts[i];
   }
-  g.adj.targets.resize(g.adj.offsets[v1]);
+  adj.targets.resize(adj.offsets[v1]);
   for (std::size_t i = 0; i < v1; ++i) {
-    std::copy_n(scratch.data() + i * cap, counts[i], g.adj.targets.data() + g.adj.offsets[i]);
+    std::copy_n(scratch.data() + i * cap, counts[i], adj.targets.data() + adj.offsets[i]);
   }
+  return adj;
+}
+
+IndistinguishabilityGraph build_indistinguishability_graph(
+    std::vector<CycleStructure> one_cycles, std::vector<CycleStructure> two_cycles,
+    const ActiveEdgeTable& active, unsigned num_threads) {
+  IndistinguishabilityGraph g;
+  g.adj = build_indistinguishability_adjacency(one_cycles, two_cycles, active, num_threads);
+  g.one_cycles = std::move(one_cycles);
+  g.two_cycles = std::move(two_cycles);
   return g;
 }
 

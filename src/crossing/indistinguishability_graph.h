@@ -78,9 +78,17 @@ IndistinguishabilityGraph build_indistinguishability_graph(std::size_t n,
                                                            const ActiveEdgeTable& active,
                                                            unsigned num_threads = 0);
 
-// Core entry for callers that already hold the enumerations (E4 enumerates
-// V1 once for its transcript sweep): takes ownership of both vertex sets.
+// Core entry: the crossing kernel over enumerations the caller keeps (the
+// strategy search's certificate holds V1 and V2 for the whole run), returning
+// only the edges. Row i lists the V2 indices adjacent to one_cycles[i].
 // active.num_rows() must equal one_cycles.size().
+CsrAdjacency build_indistinguishability_adjacency(std::span<const CycleStructure> one_cycles,
+                                                  std::span<const CycleStructure> two_cycles,
+                                                  const ActiveEdgeTable& active,
+                                                  unsigned num_threads = 0);
+
+// The same, taking ownership of both vertex sets into the returned graph
+// (E4 enumerates V1 once for its transcript sweep).
 IndistinguishabilityGraph build_indistinguishability_graph(
     std::vector<CycleStructure> one_cycles, std::vector<CycleStructure> two_cycles,
     const ActiveEdgeTable& active, unsigned num_threads = 0);

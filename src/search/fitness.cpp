@@ -224,10 +224,10 @@ std::uint64_t FitnessOracle::certificate_floor_scaled(const StrategyTable& table
     active.offsets.push_back(static_cast<std::uint32_t>(active.edges.size()));
   }
   // One thread: at n = 7 a fan-out costs more than the whole build.
-  const IndistinguishabilityGraph g =
-      build_indistinguishability_graph(one_cycles_, two_cycles_, active, 1);
+  const CsrAdjacency adj =
+      build_indistinguishability_adjacency(one_cycles_, two_cycles_, active, 1);
   // |M| pairs each absorb min(µ1, µ2) = min(|V1|, |V2|) / denom.
-  return static_cast<std::uint64_t>(max_bipartite_matching(g.adj, g.two_cycles.size())) *
+  return static_cast<std::uint64_t>(max_bipartite_matching(adj, two_cycles_.size())) *
          std::min<std::uint64_t>(v1_count_, v2_count_);
 }
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "bcc/instance.h"
@@ -147,6 +148,88 @@ TEST(ImplicitInstance, NeighborsAreSortedSymmetricAndSelfFree) {
       }
     }
   }
+}
+
+// adjacency() row v must be neighbors(v) exactly: same entries, same order.
+void expect_adjacency_rows_match_neighbors(const InstanceView& view, const std::string& what) {
+  std::vector<std::uint64_t> offsets;
+  std::vector<VertexId> targets;
+  view.adjacency(offsets, targets);
+  const std::size_t n = view.num_vertices();
+  ASSERT_EQ(offsets.size(), n + 1) << what;
+  ASSERT_EQ(offsets.front(), 0u) << what;
+  ASSERT_EQ(offsets.back(), targets.size()) << what;
+  std::vector<VertexId> nbrs;
+  for (VertexId v = 0; v < n; ++v) {
+    view.neighbors(v, nbrs);
+    ASSERT_LE(offsets[v], offsets[v + 1]) << what;
+    const std::vector<VertexId> row(targets.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
+                                    targets.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
+    ASSERT_EQ(row, nbrs) << what << " v=" << v;
+  }
+}
+
+TEST(ImplicitInstance, AdjacencyRowsEqualNeighbors) {
+  struct Shape {
+    ImplicitFamily family;
+    std::uint64_t n;
+    std::uint32_t cycles;
+  };
+  std::vector<Shape> shapes{{ImplicitFamily::kOneCycle, 3, 3}};
+  for (const std::uint64_t n : {6ull, 7ull, 13ull, 101ull}) {
+    shapes.push_back({ImplicitFamily::kOneCycle, n, 3});
+    shapes.push_back({ImplicitFamily::kTwoCycle, n, 3});
+    shapes.push_back({ImplicitFamily::kRandomRegular, n, 3});
+  }
+  // Uneven segments (n % cycles != 0) put the long cycles first; n = 6 and 7
+  // are too short for three cycles of length >= 3, so they split in two.
+  shapes.push_back({ImplicitFamily::kMultiCycle, 6, 2});
+  shapes.push_back({ImplicitFamily::kMultiCycle, 7, 2});
+  for (const std::uint64_t n : {13ull, 101ull}) {
+    shapes.push_back({ImplicitFamily::kMultiCycle, n, 3});
+  }
+  shapes.push_back({ImplicitFamily::kMultiCycle, 101, 7});
+  shapes.push_back({ImplicitFamily::kMultiCycle, 24, 7});
+  for (const Shape& shape : shapes) {
+    for (const std::uint64_t seed : {1ull, 7ull, 2019ull}) {
+      for (const KnowledgeMode mode : {KnowledgeMode::kKT0, KnowledgeMode::kKT1}) {
+        ImplicitSpec spec;
+        spec.n = shape.n;
+        spec.family = shape.family;
+        spec.seed = seed;
+        spec.cycles = shape.cycles;
+        spec.mode = mode;
+        const InstanceView implicit_view(spec);
+        const std::string what = std::string(implicit_family_name(shape.family)) +
+                                 " n=" + std::to_string(shape.n) +
+                                 " cycles=" + std::to_string(shape.cycles) +
+                                 " seed=" + std::to_string(seed);
+        expect_adjacency_rows_match_neighbors(implicit_view, what);
+        if (shape.family != ImplicitFamily::kRandomRegular) {
+          std::vector<std::uint64_t> offsets;
+          std::vector<VertexId> targets;
+          implicit_view.adjacency(offsets, targets);
+          EXPECT_EQ(targets.size(), 2 * shape.n) << what;
+        }
+        // The explicit view of the same instance takes the per-vertex path.
+        const BccInstance mat = implicit_view.to_explicit();
+        expect_adjacency_rows_match_neighbors(InstanceView(&mat), what + " (explicit)");
+      }
+    }
+  }
+}
+
+TEST(InstanceView, ExplicitAdjacencyRowsEqualNeighbors) {
+  // Edges inserted out of order, degrees 0 to 3: the explicit path sorts
+  // each row as neighbors() does.
+  Graph graph(6);
+  graph.add_edge(0, 3);
+  graph.add_edge(0, 1);
+  graph.add_edge(4, 2);
+  graph.add_edge(1, 4);
+  graph.add_edge(0, 2);
+  const BccInstance inst = BccInstance::kt1(std::move(graph));
+  expect_adjacency_rows_match_neighbors(InstanceView(&inst), "hand-built explicit");
 }
 
 TEST(ImplicitInstance, CycleFamiliesAreTwoRegularWithTrueComponentCounts) {
