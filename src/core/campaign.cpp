@@ -359,10 +359,16 @@ CampaignReport CampaignRunner::run(const Campaign& campaign) const {
   context.threads = std::max(1u, max_workers / std::max(1u, report.planned_workers));
   context.deadline_ns = config_.job_deadline_ns;
 
+  // A flush whose bytes equal the last one written (the final flush after a
+  // completed last batch) is skipped; every write that lands still fsyncs
+  // before its rename.
+  std::string last_checkpoint;
   const auto flush_checkpoint = [&] {
-    if (on_disk) {
-      write_snapshot_atomic(ckpt_path, serialize_checkpoint(campaign, report.records));
-    }
+    if (!on_disk) return;
+    std::string bytes = serialize_checkpoint(campaign, report.records);
+    if (bytes == last_checkpoint) return;
+    write_snapshot_atomic(ckpt_path, bytes);
+    last_checkpoint = std::move(bytes);
   };
 
   std::size_t at = 0;

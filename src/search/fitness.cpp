@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "bcc/checkpoint.h"
 #include "common/check.h"
@@ -99,15 +100,24 @@ FitnessOracle::FitnessOracle(std::size_t n, unsigned rounds) : n_(n), rounds_(ro
   for (const std::vector<VertexId>& row : kt1.tables()) {
     for (const VertexId peer : row) peers_.push_back(static_cast<std::uint8_t>(peer));
   }
-  start_states_.reserve((v1_count_ + v2_count_) * n);
+  // In a canonical instance (canonical_kt0_instance: IDs 0..n-1 over
+  // Wiring::kt1(n)) vertex v's KT-0 view is its ID and the sorted ports of
+  // its two cycle neighbours, so the start states come straight from the
+  // cycles.
+  start_states_.resize((v1_count_ + v2_count_) * n);
+  std::uint64_t* states = start_states_.data();
   const auto record = [&](const CycleStructure& cs) {
-    const BccInstance instance = canonical_kt0_instance(cs);
-    BCCLB_CHECK(instance.wiring() == kt1,
-                "fitness oracle: canonical instances must share Wiring::kt1(n)");
-    for (VertexId v = 0; v < n; ++v) {
-      const LocalView view = make_local_view(instance, v, 1, nullptr, nullptr);
-      start_states_.push_back(strategy_start_state(view.id, view.input_ports));
+    for (const std::vector<VertexId>& cycle : cs.cycles()) {
+      const std::size_t len = cycle.size();
+      for (std::size_t j = 0; j < len; ++j) {
+        const VertexId v = cycle[j];
+        Port ports[2] = {kt1.port_at(v, cycle[(j + len - 1) % len]),
+                         kt1.port_at(v, cycle[(j + 1) % len])};
+        if (ports[0] > ports[1]) std::swap(ports[0], ports[1]);
+        states[v] = strategy_start_state(v, ports);
+      }
     }
+    states += n;
   };
   edge_tails_.reserve(v1_count_ * n);
   edge_heads_.reserve(v1_count_ * n);

@@ -6,7 +6,10 @@
 // on *every* canonical instance. The oracle runs the table's state machine
 // (search/strategy.h) over flat arrays: a vertex's start state does not
 // depend on the table, so it is recorded once per instance, and every
-// canonical instance shares the Wiring::kt1(n) port→peer table. The tally
+// canonical instance shares the Wiring::kt1(n) port→peer table. The start
+// states come straight from the cycle structures: vertex v's KT-0 view is
+// its ID and the sorted ports kt1.port_at(v, u) of its two cycle neighbours
+// u. Only engine_replay builds BccInstances. The tally
 // is kept as an exact integer: scaling by 2·|V1|·|V2| turns µ1 = 1/(2|V1|)
 // into weight |V2| per one-cycle miss and µ2 into weight |V1| per two-cycle
 // miss, so fitness comparisons (and therefore every search decision) are
@@ -27,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bcc/batch_runner.h"
@@ -64,6 +68,10 @@ class FitnessOracle {
   std::size_t num_instances() const { return v1_count_ + v2_count_; }
   std::uint64_t denom() const { return denom_; }
 
+  // [i * n + v]: vertex v's start state in instance i; V1 first, then V2,
+  // in enumeration order.
+  std::span<const std::uint64_t> start_states() const { return start_states_; }
+
   // Runs the strategy on every instance over the flat start-state table, in
   // contiguous blocks of instances on up to runner.num_threads() workers
   // (n = 7 is too small to be worth a thread and runs inline), with a serial
@@ -99,8 +107,6 @@ class FitnessOracle {
   std::size_t v1_count_ = 0;
   std::size_t v2_count_ = 0;
   std::uint64_t denom_ = 1;
-  // [i * n + v]: vertex v's start state in instance i; V1 first, then V2,
-  // in enumeration order.
   std::vector<std::uint64_t> start_states_;
   // [v * (n - 1) + p]: the peer behind port p of v in Wiring::kt1(n).
   std::vector<std::uint8_t> peers_;

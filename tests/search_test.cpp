@@ -17,6 +17,7 @@
 
 #include "bcc/batch_runner.h"
 #include "bcc/checkpoint.h"
+#include "bcc/instance.h"
 #include "common/errors.h"
 #include "core/decision_optimizer.h"
 #include "core/kt0_engine.h"
@@ -189,6 +190,28 @@ TEST(Fitness, FlatEvaluationMatchesTheRoundEngine) {
   const FitnessOracle oracle(7, 2);
   EXPECT_EQ(oracle.evaluate(silent_always_yes(7, 2, 4), serial),
             engine_score(oracle, silent_always_yes(7, 2, 4)));
+}
+
+// The oracle derives start states from the cycle structures alone; each
+// must equal strategy_start_state of that vertex's LocalView in the real
+// canonical instance. n = 9 is the oracle's upper end, which the evaluation
+// comparisons above do not reach.
+TEST(Fitness, StartStatesMatchTheCanonicalInstancesLocalViews) {
+  for (const std::size_t n : {6, 7, 8, 9}) {
+    const FitnessOracle oracle(n, 1);
+    const std::span<const std::uint64_t> states = oracle.start_states();
+    std::vector<CycleStructure> instances = all_one_cycle_structures(n);
+    for (CycleStructure& cs : all_two_cycle_structures(n)) instances.push_back(std::move(cs));
+    ASSERT_EQ(states.size(), instances.size() * n);
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+      const BccInstance instance = canonical_kt0_instance(instances[i]);
+      for (VertexId v = 0; v < n; ++v) {
+        const LocalView view = make_local_view(instance, v, 1, nullptr, nullptr);
+        ASSERT_EQ(states[i * n + v], strategy_start_state(view.id, view.input_ports))
+            << "n " << n << " instance " << i << " vertex " << v;
+      }
+    }
+  }
 }
 
 TEST(Fitness, SilentAlwaysYesScoresExactlyHalf) {
