@@ -359,8 +359,8 @@ CampaignReport CampaignRunner::run(const Campaign& campaign) const {
   context.threads = std::max(1u, max_workers / std::max(1u, report.planned_workers));
   context.deadline_ns = config_.job_deadline_ns;
 
-  // A flush whose bytes equal the last one written (the final flush after a
-  // completed last batch) is skipped; every write that lands still fsyncs
+  // A flush whose bytes equal the last ones written, such as the final flush
+  // after a completed last batch, is skipped. Every write still fsyncs
   // before its rename.
   std::string last_checkpoint;
   const auto flush_checkpoint = [&] {
