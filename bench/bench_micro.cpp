@@ -473,7 +473,7 @@ void BM_ImplicitFloodScale(benchmark::State& state) {
       static_cast<double>(spec.n) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ImplicitFloodScale)->Arg(100000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ImplicitFloodScale)->Arg(1 << 15)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace bcclb

@@ -70,9 +70,7 @@ void SoaMinIdFlood::init(const InstanceView& view, unsigned bandwidth,
 
   view.adjacency(adj_offsets_, adj_targets_);
 
-  frontier_.clear();
-  next_frontier_.clear();
-  queued_stamp_.assign(exact_ ? 0 : n_, 0);
+  frontier_len_ = 0;
 }
 
 void SoaMinIdFlood::broadcast(unsigned round, SoaBroadcasts& out) {
@@ -82,7 +80,9 @@ void SoaMinIdFlood::broadcast(unsigned round, SoaBroadcasts& out) {
   }
   // Only labels that changed in the previous receive differ from what the
   // persistent outbox already holds.
-  for (VertexId v : frontier_) out.set_bits(v, labels_[v], width_);
+  for (std::size_t k = 0; k < frontier_len_; ++k) {
+    out.set_bits(frontier_[k], labels_[frontier_[k]], width_);
+  }
 }
 
 void SoaMinIdFlood::receive_flood_exact(const SoaBroadcasts& in) {
@@ -102,28 +102,55 @@ void SoaMinIdFlood::receive_flood_frontier(unsigned round, const SoaBroadcasts& 
   // A vertex's label can drop in round t only via a neighbor whose
   // broadcast changed in round t (relative to t-1): unchanged broadcasts
   // were already folded in. Round 0 seeds with every vertex.
-  next_frontier_.clear();
-  const std::uint32_t stamp = round + 1;
-  const auto values = in.values();
-  const auto relax_neighbors_of = [&](VertexId u) {
-    const std::uint64_t value = values[u];
-    for (std::uint64_t i = adj_offsets_[u]; i < adj_offsets_[u + 1]; ++i) {
-      const VertexId w = adj_targets_[i];
-      if (value < labels_[w]) {
-        labels_[w] = value;
-        if (queued_stamp_[w] != stamp) {
-          queued_stamp_[w] = stamp;
-          next_frontier_.push_back(w);
-        }
+  //
+  // Branch-free, with repeated entries (see the class comment). The mask
+  // select is spelled out because GCC turns `lower ? value : cur` back into
+  // a mispredicted branch. The prefetches walk each source's chain of
+  // dependent reads (offsets and value, then targets, then the neighbors'
+  // labels) stage by stage, kAhead sources ahead of its use.
+  constexpr std::size_t kAhead = 8;
+  const std::uint64_t* values = in.values().data();
+  const std::uint64_t* offsets = adj_offsets_.data();
+  const VertexId* targets = adj_targets_.data();
+  std::uint64_t* labels = labels_.data();
+  const std::size_t sources = round == 0 ? n_ : frontier_len_;
+  const auto source = [&](std::size_t k) {
+    return round == 0 ? static_cast<VertexId>(k) : frontier_[k];
+  };
+  std::size_t len = 0;
+  for (std::size_t k = 0; k < sources; ++k) {
+    if (k + 2 * kAhead < sources) {
+      const VertexId a = source(k + 2 * kAhead);
+      __builtin_prefetch(offsets + a);
+      __builtin_prefetch(values + a);
+    }
+    if (k + kAhead < sources) __builtin_prefetch(targets + offsets[source(k + kAhead)]);
+    if (k + kAhead / 2 < sources) {
+      const VertexId a = source(k + kAhead / 2);
+      for (std::uint64_t i = offsets[a]; i < offsets[a + 1]; ++i) {
+        __builtin_prefetch(labels + targets[i], 1);
       }
     }
-  };
-  if (round == 0) {
-    for (VertexId u = 0; u < n_; ++u) relax_neighbors_of(u);
-  } else {
-    for (VertexId u : frontier_) relax_neighbors_of(u);
+
+    const VertexId u = source(k);
+    const std::uint64_t value = values[u];
+    const std::uint64_t begin = offsets[u];
+    const std::uint64_t end = offsets[u + 1];
+    // next_frontier_'s size is its high-water mark, so it grows (and is
+    // value-initialized) only past the largest frontier seen so far.
+    if (len + (end - begin) > next_frontier_.size()) next_frontier_.resize(len + (end - begin));
+    VertexId* next = next_frontier_.data();
+    for (std::uint64_t i = begin; i < end; ++i) {
+      const VertexId w = targets[i];
+      const std::uint64_t cur = labels[w];
+      const std::uint64_t lower = 0 - static_cast<std::uint64_t>(value < cur);
+      labels[w] = cur ^ ((cur ^ value) & lower);
+      next[len] = w;
+      len += lower & 1;
+    }
   }
   frontier_.swap(next_frontier_);
+  frontier_len_ = len;
 }
 
 void SoaMinIdFlood::receive(unsigned round, const SoaBroadcasts& in) {
@@ -177,8 +204,7 @@ std::size_t SoaMinIdFlood::state_bytes() const {
   return labels_.capacity() * sizeof(std::uint64_t) +
          adj_offsets_.capacity() * sizeof(std::uint64_t) +
          adj_targets_.capacity() * sizeof(VertexId) +
-         (frontier_.capacity() + next_frontier_.capacity()) * sizeof(VertexId) +
-         queued_stamp_.capacity() * sizeof(std::uint32_t);
+         (frontier_.capacity() + next_frontier_.capacity()) * sizeof(VertexId);
 }
 
 }  // namespace bcclb

@@ -52,6 +52,18 @@ AlgorithmFactory min_id_flood_factory();
 // shortcuts are disabled and every round is the dense O(n)-broadcast /
 // per-vertex-scan computation, so rewritten wires behave exactly as they do
 // for MinIdFloodAlgorithm.
+//
+// The frontier relaxation has no data-dependent branch: each neighbor's
+// label is replaced through a mask built from `value < label` (one store
+// per relaxation), and the neighbor is always written to the next frontier,
+// whose length advances by the mask's low bit. A vertex lowered twice in a
+// round is therefore listed twice, with no round-stamp array to dedupe it;
+// min is idempotent, so the repeated broadcast rewrites the same value
+// (SoaBroadcasts' same-width store) and the repeated relaxation lowers
+// nothing. Because a branch-free loop no longer runs ahead of a cache miss
+// on a predicted path, each source's dependent reads (offsets and value,
+// targets, the neighbors' labels) are prefetched a fixed number of
+// sources ahead, which is what keeps n = 10^6 from being latency-bound.
 class SoaMinIdFlood final : public SoaProgram {
  public:
   void init(const InstanceView& view, unsigned bandwidth, const FaultInjector* faults,
@@ -86,11 +98,13 @@ class SoaMinIdFlood final : public SoaProgram {
   // 2n targets; one neighbors() call per vertex otherwise.
   std::vector<std::uint64_t> adj_offsets_;
   std::vector<VertexId> adj_targets_;
-  // Frontier state: vertices whose label changed in the previous receive,
-  // and a round-stamp array deduplicating insertions.
+  // Frontier state: the first frontier_len_ entries of frontier_ are the
+  // vertices whose label changed in the previous receive, one entry per
+  // drop (so a vertex lowered twice is listed twice). Each buffer's size is
+  // its high-water mark; entries past the length are stale.
   std::vector<VertexId> frontier_;
   std::vector<VertexId> next_frontier_;
-  std::vector<std::uint32_t> queued_stamp_;
+  std::size_t frontier_len_ = 0;
 };
 
 }  // namespace bcclb

@@ -57,6 +57,12 @@ void SoaBroadcasts::set_message(VertexId v, const Message& m) {
 }
 
 void SoaBroadcasts::store(VertexId v, std::uint64_t value, unsigned len) {
+  if (widths_[v] == len) {
+    // len >= 1, so the slot is already non-silent at this width: the bit
+    // total, the oversized count and the silence bit all stay valid.
+    values_[v] = value;
+    return;
+  }
   bits_sum_ += len;
   bits_sum_ -= widths_[v];
   oversized_ += len > bandwidth_ ? 1 : 0;

@@ -60,7 +60,10 @@ struct RunStats {
 // One round's broadcasts for all n vertices, struct-of-arrays. The buffer
 // persists across rounds: a program only rewrites the slots whose value
 // changed, and the running bit total is maintained incrementally so the
-// engine's per-round accounting is O(1).
+// engine's per-round accounting is O(1). A write at the slot's current
+// width (the common case: the flood always broadcasts at the full
+// bandwidth) stores only the value; every non-silent write has width >= 1,
+// so a silent slot (width 0) always takes the full path.
 class SoaBroadcasts {
  public:
   void reset(std::size_t n, unsigned bandwidth);
@@ -164,7 +167,8 @@ struct SoaRunResult {
   // Canonical round-major transcript digest; 0 unless digest_transcript.
   std::uint64_t transcript_digest = 0;
   // FNV-1a over (n, label_of(0), ..., label_of(n-1)) — the scale-run
-  // fingerprint when transcript digesting is off.
+  // outcome when transcript digesting is off. For the flood the labels are
+  // the component minima, so it sees the outcome, not the rounds.
   std::uint64_t labels_digest = 0;
   std::vector<AppliedFault> faults_applied;
   std::vector<VertexId> crashed_vertices;

@@ -3,8 +3,8 @@
 // SoA program to the per-vertex reference — identical round-major
 // transcript digests, decisions, labels, and fault audit logs on every
 // instance both can run — plus the SoaBroadcasts buffer unit tests, the
-// loop's bandwidth-error context, thread invariance, and the 10^5 scale
-// smoke.
+// loop's bandwidth-error context, thread invariance, the n = 4000
+// transcript pins, and the 10^5 scale smoke.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bcc/algorithms/min_id_flood.h"
@@ -74,6 +76,50 @@ TEST(SoaBroadcasts, UncheckedWritesCountOversizedSlots) {
   out.set_bits(1, 0b10, 2);
   EXPECT_EQ(out.oversized(), 0u);
   EXPECT_EQ(out.round_bits(), 2u);
+}
+
+TEST(SoaBroadcasts, SameWidthRewritesKeepTheAccountingExact) {
+  SoaBroadcasts out;
+  out.reset(3, 4);
+  // Same-width value rewrites store only the value.
+  out.set_bits(0, 0b1010, 4);
+  out.set_bits(0, 0b0110, 4);
+  out.set_bits(0, 0b0110, 4);
+  EXPECT_EQ(out.round_bits(), 4u);
+  EXPECT_EQ(out.oversized(), 0u);
+  EXPECT_FALSE(out.is_silent(0));
+  EXPECT_EQ(out.message(0), Message::bits(0b0110, 4));
+
+  // An oversized unchecked write repeated at its width is counted once.
+  out.set_message(1, Message::bits(0b11111, 5));
+  out.set_message(1, Message::bits(0b10101, 5));
+  EXPECT_EQ(out.round_bits(), 9u);
+  EXPECT_EQ(out.oversized(), 1u);
+  EXPECT_EQ(out.message(1), Message::bits(0b10101, 5));
+  // The checked path still refuses that width, and the failed write
+  // leaves the slot and the totals as they were.
+  EXPECT_THROW(out.set_bits(1, 0b10101, 5), BandwidthViolationError);
+  EXPECT_EQ(out.round_bits(), 9u);
+  EXPECT_EQ(out.oversized(), 1u);
+  EXPECT_EQ(out.value(1), 0b10101u);
+
+  // Silence has width 0, so the write after it takes the full path: the
+  // slot is non-silent again and its bits count again.
+  out.set_bits(2, 0b11, 2);
+  out.set_silent(2);
+  EXPECT_TRUE(out.is_silent(2));
+  EXPECT_EQ(out.round_bits(), 9u);
+  out.set_bits(2, 0b01, 2);
+  EXPECT_FALSE(out.is_silent(2));
+  EXPECT_EQ(out.round_bits(), 11u);
+  EXPECT_EQ(out.oversized(), 1u);
+  EXPECT_EQ(out.value(2), 0b01u);
+
+  // A silenced slot never reached by a write stays silent, and the
+  // oversized slot leaves the count once it shrinks.
+  out.set_message(1, Message::bits(0b101, 3));
+  EXPECT_EQ(out.oversized(), 0u);
+  EXPECT_EQ(out.round_bits(), 9u);
 }
 
 // ---- helpers ----------------------------------------------------------------
@@ -318,27 +364,73 @@ TEST(SoaEquivalence, ExactModeMatchesFrontierModeOnTheWire) {
   // A byzantine event that forges exactly what the vertex would broadcast
   // anyway (vertex 0 holds the global-minimum ID, so its label is 0 in
   // every round) leaves the wire unchanged but forces the SoA program onto
-  // the dense exact path — so this pins frontier execution to the dense
+  // the dense exact path — so this pins frontier execution (branch-free
+  // relaxation, repeated frontier entries, same-width stores) to the dense
   // computation through the transcript digest.
-  ImplicitSpec spec;
-  spec.n = 12;
-  spec.family = ImplicitFamily::kMultiCycle;
-  spec.cycles = 3;
-  const unsigned bw = flood_bandwidth(spec.n);
-  const InstanceView view(spec);
+  std::vector<ImplicitSpec> specs;
+  for (const std::uint64_t n : {97ull, 1000ull}) {
+    ImplicitSpec spec;
+    spec.n = n;
+    spec.seed = 2019 + n;
+    for (const ImplicitFamily family : {ImplicitFamily::kOneCycle, ImplicitFamily::kTwoCycle}) {
+      spec.family = family;
+      specs.push_back(spec);
+    }
+    spec.family = ImplicitFamily::kMultiCycle;
+    for (const std::uint32_t cycles : {3u, 7u}) {
+      spec.cycles = cycles;
+      specs.push_back(spec);
+    }
+    spec.family = ImplicitFamily::kRandomRegular;
+    for (const std::uint32_t perms : {2u, 3u}) {
+      spec.perms = perms;
+      specs.push_back(spec);
+    }
+  }
+  for (const ImplicitSpec& spec : specs) {
+    const std::string context = context_of(spec) + " cycles=" + std::to_string(spec.cycles) +
+                                " perms=" + std::to_string(spec.perms);
+    const unsigned bw = flood_bandwidth(spec.n);
+    const InstanceView view(spec);
 
-  FaultPlan noop;
-  noop.byzantine(0, 1, 0, bw);
+    FaultPlan noop;
+    noop.byzantine(0, 1, 0, bw);
 
-  const SoaOutcome frontier = run_soa(view, bw, 1, nullptr);
-  const SoaOutcome exact = run_soa(view, bw, 1, &noop);
-  EXPECT_EQ(frontier.result.transcript_digest, exact.result.transcript_digest);
-  EXPECT_EQ(frontier.result.total_bits_broadcast, exact.result.total_bits_broadcast);
-  EXPECT_EQ(frontier.labels, exact.labels);
-  EXPECT_EQ(frontier.result.decision, exact.result.decision);
-  // The injector audits only events that changed the wire, so a forged
-  // message equal to the genuine one leaves the log empty.
-  EXPECT_TRUE(exact.result.faults_applied.empty());
+    const SoaOutcome frontier = run_soa(view, bw, 1, nullptr);
+    const SoaOutcome exact = run_soa(view, bw, 1, &noop);
+    EXPECT_EQ(frontier.result.transcript_digest, exact.result.transcript_digest) << context;
+    EXPECT_EQ(frontier.result.total_bits_broadcast, exact.result.total_bits_broadcast)
+        << context;
+    EXPECT_EQ(frontier.labels, exact.labels) << context;
+    EXPECT_EQ(frontier.result.decision, exact.result.decision) << context;
+    // The injector audits only events that changed the wire, so a forged
+    // message equal to the genuine one leaves the log empty.
+    EXPECT_TRUE(exact.result.faults_applied.empty()) << context;
+  }
+}
+
+// ---- transcript pins ----------------------------------------------------------
+
+TEST(SoaEquivalence, RoundMajorTranscriptDigestsArePinnedAtFourThousand) {
+  // The labels digest depends only on n and the component minima, so it
+  // cannot see how the flood got there; these pins see every broadcast of
+  // every round (seed 2019, default family shapes). The same values are
+  // grepped from `bcclb sim --implicit --digest` in CI.
+  const std::pair<ImplicitFamily, std::uint64_t> pins[] = {
+      {ImplicitFamily::kOneCycle, 0x2d764a1137468ce5ull},
+      {ImplicitFamily::kTwoCycle, 0x6801b6445ce2ca8dull},
+      {ImplicitFamily::kMultiCycle, 0xb0eb80d8ad921f8eull},
+      {ImplicitFamily::kRandomRegular, 0x76ed155805d9ce13ull},
+  };
+  for (const auto& [family, digest] : pins) {
+    ImplicitSpec spec;
+    spec.n = 4000;
+    spec.family = family;
+    spec.seed = 2019;
+    const InstanceView view(spec);
+    const SoaOutcome soa = run_soa(view, flood_bandwidth(spec.n), 1, nullptr);
+    EXPECT_EQ(soa.result.transcript_digest, digest) << context_of(spec);
+  }
 }
 
 // ---- thread invariance at mid scale -----------------------------------------
