@@ -1,8 +1,10 @@
 #include "bcc/checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <sys/stat.h>
 
+#include "common/env.h"
 #include "common/errors.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -133,6 +135,58 @@ std::string read_file(const std::string& path) {
 bool file_exists(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0;
+}
+
+RecordReader::RecordReader(std::string_view text, std::string context)
+    : text_(text), context_(std::move(context)) {}
+
+std::vector<std::string_view> RecordReader::next(std::initializer_list<std::string_view> shape) {
+  ++line_no_;
+  const std::size_t nl = text_.find('\n', at_);
+  if (nl == std::string_view::npos) fail("missing or truncated record");
+  line_ = text_.substr(at_, nl - at_);
+  at_ = nl + 1;
+  std::vector<std::string_view> fields;
+  for (std::size_t start = 0, space = 0; start <= line_.size(); start = space + 1) {
+    space = std::min(line_.find(' ', start), line_.size());
+    if (space == start) fail("empty field (fields are separated by exactly one space)");
+    fields.push_back(line_.substr(start, space - start));
+  }
+  bool match = shape.size() == fields.size();
+  for (std::size_t i = 0; match && i < shape.size(); ++i) {
+    match = shape.begin()[i].empty() || shape.begin()[i] == fields[i];
+  }
+  if (!match) fail("malformed record '" + std::string(line_.substr(0, 80)) + "'");
+  return fields;
+}
+
+std::uint64_t RecordReader::u64(std::string_view field) const {
+  const auto value = parse_env_u64(field);
+  if (!value) fail("'" + std::string(field) + "' is not an unsigned decimal");
+  return *value;
+}
+
+std::uint64_t RecordReader::digest(std::string_view field) const {
+  std::uint64_t value = 0;
+  if (!parse_digest_hex(field, value)) fail("'" + std::string(field) + "' is not a 16-hex digest");
+  return value;
+}
+
+void RecordReader::expect_bytes(std::string_view records, const std::string& why) {
+  if (!rest().starts_with(records)) {
+    ++line_no_;
+    fail(why);
+  }
+  at_ += records.size();
+  line_no_ += static_cast<std::size_t>(std::count(records.begin(), records.end(), '\n'));
+}
+
+void RecordReader::expect_end() const {
+  if (at_ != text_.size()) fail("unexpected data after this record");
+}
+
+void RecordReader::fail(const std::string& why) const {
+  throw CheckpointError(context_ + ": line " + std::to_string(line_no_) + ": " + why);
 }
 
 }  // namespace bcclb

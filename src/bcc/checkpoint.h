@@ -10,8 +10,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace bcclb {
 
@@ -50,5 +52,35 @@ void write_file_atomic(const std::string& path, std::string_view bytes);
 std::string read_file(const std::string& path);
 
 bool file_exists(const std::string& path);
+
+// ---- line records ----------------------------------------------------------
+// RecordReader reads the grammar the campaign checkpoint, the rank checkpoint
+// and the disk-store entry header share (DESIGN.md §5): one '\n'-terminated
+// record per line, fields separated by exactly one space, numbers under
+// parse_env_u64 (common/env.h), digests under parse_digest_hex. Every failure
+// throws CheckpointError prefixed with the caller's context and the line.
+class RecordReader {
+ public:
+  RecordReader(std::string_view text, std::string context);
+
+  // The next record's fields, which must match `shape`: as many fields, each
+  // equal to its shape entry unless that entry is empty (a value slot).
+  std::vector<std::string_view> next(std::initializer_list<std::string_view> shape);
+  std::string_view line() const { return line_; }  // the last record, without '\n'
+  std::uint64_t u64(std::string_view field) const;
+  std::uint64_t digest(std::string_view field) const;
+  // Consumes `records` (whole lines) if the unread text starts with them.
+  void expect_bytes(std::string_view records, const std::string& why);
+  void expect_end() const;  // nothing may follow the last record
+  std::string_view rest() const { return text_.substr(at_); }
+  [[noreturn]] void fail(const std::string& why) const;
+
+ private:
+  std::string_view text_;
+  std::string context_;
+  std::size_t at_ = 0;
+  std::size_t line_no_ = 0;
+  std::string_view line_;
+};
 
 }  // namespace bcclb

@@ -8,7 +8,11 @@
 // are read with the env_* helpers instead of ad-hoc atoi. Structured
 // variables build on the same primitives: BCCLB_SERVE_FAULTS (the serving
 // chaos schedule, serve/chaos.h) parses each key=value field with
-// parse_env_u64 and throws on anything it does not recognize.
+// parse_env_u64 and throws on anything it does not recognize. The persisted
+// formats use the same rule: every number in the campaign checkpoint, the
+// rank checkpoint and the disk-store entry header goes through
+// parse_env_u64 via RecordReader (bcc/checkpoint.h), as does every number in
+// the golden stores' JSON.
 //
 // Two failure disciplines, chosen per call site:
 //   parse_env_u64 / env_u64  — malformed yields nullopt; the caller decides

@@ -14,6 +14,7 @@
 #include "bcc/batch_runner.h"
 #include "bcc/checkpoint.h"
 #include "common/check.h"
+#include "common/env.h"
 #include "common/errors.h"
 #include "common/parallel.h"
 #include "core/decision_optimizer.h"
@@ -88,30 +89,6 @@ std::optional<CampaignJobState> parse_state(std::string_view token) {
   return std::nullopt;
 }
 
-std::vector<std::string_view> split_tokens(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  std::size_t at = 0;
-  while (at < line.size()) {
-    const std::size_t space = line.find(' ', at);
-    const std::size_t end = space == std::string_view::npos ? line.size() : space;
-    if (end > at) tokens.push_back(line.substr(at, end - at));
-    at = end + 1;
-  }
-  return tokens;
-}
-
-std::optional<std::uint64_t> parse_u64_token(std::string_view token) {
-  if (token.empty() || token.front() < '0' || token.front() > '9') return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return std::nullopt;
-    value = value * 10 + digit;
-  }
-  return value;
-}
-
 [[noreturn]] void checkpoint_fail(const std::string& path, const std::string& why) {
   throw CheckpointError("checkpoint '" + path + "': " + why);
 }
@@ -140,58 +117,34 @@ std::string serialize_checkpoint(const Campaign& campaign,
 // over it would silently mix results.
 std::vector<CampaignJobRecord> parse_checkpoint(const std::string& path, const std::string& body,
                                                 const Campaign& campaign) {
-  std::vector<std::string_view> lines;
-  std::size_t at = 0;
-  while (at < body.size()) {
-    const std::size_t nl = body.find('\n', at);
-    if (nl == std::string::npos) checkpoint_fail(path, "truncated record (missing newline)");
-    lines.push_back(std::string_view(body).substr(at, nl - at));
-    at = nl + 1;
-  }
-  if (lines.size() < 2 || lines[0] != kCheckpointMagic) {
-    checkpoint_fail(path, "not a bcclb campaign checkpoint");
-  }
-  const std::vector<std::string_view> header = split_tokens(lines[1]);
-  if (header.size() != 6 || header[0] != "campaign" || header[2] != "seed" ||
-      header[4] != "jobs") {
-    checkpoint_fail(path, "malformed header");
-  }
-  const auto seed = parse_u64_token(header[3]);
-  const auto jobs = parse_u64_token(header[5]);
-  if (!seed || !jobs) checkpoint_fail(path, "malformed header");
-  if (header[1] != campaign.name || *seed != campaign.seed ||
-      *jobs != campaign.jobs.size() || lines.size() != 2 + campaign.jobs.size()) {
-    checkpoint_fail(path, "snapshot describes a different campaign (name '" +
-                              std::string(header[1]) + "', seed " + std::to_string(*seed) +
-                              ", " + std::to_string(*jobs) + " jobs) — refusing to resume");
+  RecordReader in(body, "checkpoint '" + path + "'");
+  in.next({kCheckpointMagic});
+  const auto header = in.next({"campaign", "", "seed", "", "jobs", ""});
+  const std::uint64_t seed = in.u64(header[3]);
+  const std::uint64_t jobs = in.u64(header[5]);
+  if (header[1] != campaign.name || seed != campaign.seed || jobs != campaign.jobs.size()) {
+    in.fail("snapshot describes a different campaign (name '" + std::string(header[1]) +
+            "', seed " + std::to_string(seed) + ", " + std::to_string(jobs) +
+            " jobs) — refusing to resume");
   }
 
   std::vector<CampaignJobRecord> records(campaign.jobs.size());
   for (std::size_t i = 0; i < campaign.jobs.size(); ++i) {
-    const std::vector<std::string_view> tokens = split_tokens(lines[2 + i]);
-    if (tokens.size() != 7 || tokens[0] != "job") {
-      checkpoint_fail(path, "malformed job record at line " + std::to_string(3 + i));
-    }
-    const auto index = parse_u64_token(tokens[1]);
-    const auto state = parse_state(tokens[2]);
-    const auto attempts = parse_u64_token(tokens[4]);
-    const auto wall = parse_u64_token(tokens[5]);
-    std::uint64_t digest = 0;
-    if (!index || *index != i || !state || !parse_digest_hex(tokens[3], digest) || !attempts ||
-        !wall) {
-      checkpoint_fail(path, "malformed job record at line " + std::to_string(3 + i));
-    }
-    if (tokens[6] != campaign.jobs[i].name) {
-      checkpoint_fail(path, "job " + std::to_string(i) + " is '" + std::string(tokens[6]) +
-                                "' in the snapshot but '" + campaign.jobs[i].name +
-                                "' in the campaign — refusing to resume");
+    const auto job = in.next({"job", "", "", "", "", "", ""});
+    const auto state = parse_state(job[2]);
+    if (in.u64(job[1]) != i || !state) in.fail("malformed job record");
+    if (job[6] != campaign.jobs[i].name) {
+      in.fail("job " + std::to_string(i) + " is '" + std::string(job[6]) +
+              "' in the snapshot but '" + campaign.jobs[i].name +
+              "' in the campaign — refusing to resume");
     }
     CampaignJobRecord& rec = records[i];
     rec.state = *state;
-    rec.digest = digest;
-    rec.attempts = static_cast<unsigned>(*attempts);
-    rec.wall_time_ns = *wall;
+    rec.digest = in.digest(job[3]);
+    rec.attempts = static_cast<unsigned>(in.u64(job[4]));
+    rec.wall_time_ns = in.u64(job[5]);
   }
+  in.expect_end();
   return records;
 }
 
@@ -501,7 +454,7 @@ struct JsonScanner {
     skip_ws();
     const std::size_t start = at;
     while (at < text.size() && text[at] >= '0' && text[at] <= '9') ++at;
-    const auto value = parse_u64_token(text.substr(start, at - start));
+    const auto value = parse_env_u64(text.substr(start, at - start));
     if (!value) throw CheckpointError("golden store: malformed number");
     return *value;
   }

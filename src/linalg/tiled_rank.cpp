@@ -663,53 +663,43 @@ std::string render_checkpoint(const std::string& header, const RankState& st) {
   throw CheckpointError("tiled rank checkpoint " + path + ": " + why);
 }
 
+// Reads a checkpoint written by render_checkpoint. Tile lines are kept as
+// read, and the chain is re-derived from them exactly as the run loop extends
+// it, so a rewritten tile record cannot resume under the old certificate.
 RankState parse_checkpoint(const std::string& path, const std::string& expected_header,
                            std::size_t tiles_total, std::size_t tile_rows,
                            std::uint64_t dimension) {
   const std::string body = read_snapshot(path);
-  if (body.compare(0, expected_header.size(), expected_header) != 0) {
-    bad_checkpoint(path, "header does not match this configuration (n/field/prime/tile-rows)");
-  }
-  std::istringstream in(body.substr(expected_header.size()));
+  RecordReader in(body, "tiled rank checkpoint " + path);
+  in.expect_bytes(expected_header,
+                  "header does not match this configuration (n/field/prime/tile-rows)");
   RankState st;
-  std::string key;
-  std::string chain_hex;
-  if (!(in >> key >> st.tiles_done) || key != "tiles-done") bad_checkpoint(path, "missing tiles-done");
-  if (!(in >> key >> st.rank) || key != "rank") bad_checkpoint(path, "missing rank");
-  if (!(in >> key >> chain_hex) || key != "chain" || !parse_digest_hex(chain_hex, st.chain)) {
-    bad_checkpoint(path, "missing or malformed chain digest");
-  }
-  if (st.tiles_done > tiles_total) bad_checkpoint(path, "tiles-done exceeds tiles-total");
+  st.tiles_done = in.u64(in.next({"tiles-done", ""})[1]);
+  if (st.tiles_done > tiles_total) in.fail("tiles-done exceeds tiles-total");
+  st.rank = in.u64(in.next({"rank", ""})[1]);
+  const std::uint64_t recorded_chain = in.digest(in.next({"chain", ""})[1]);
+  st.chain = fnv1a(expected_header);
   std::size_t pivot_total = 0;
   for (std::size_t t = 0; t < st.tiles_done; ++t) {
-    SegmentMeta seg;
-    std::size_t lo = 0, hi = 0;
-    std::uint64_t ones = 0;
-    std::string bits_hex, seg_hex;
-    std::uint64_t bits_digest = 0;
-    if (!(in >> key >> seg.tile_index) || key != "tile" || seg.tile_index != t) {
-      bad_checkpoint(path, "missing record for tile " + std::to_string(t));
+    const auto tile =
+        in.next({"tile", "", "rows", "", "", "ones", "", "bits", "", "pivots", "", "seg", ""});
+    const std::size_t lo = t * tile_rows;
+    if (in.u64(tile[1]) != t) in.fail("expected the record for tile " + std::to_string(t));
+    const std::size_t hi = std::min<std::size_t>(dimension, lo + tile_rows);
+    if (in.u64(tile[3]) != lo || in.u64(tile[4]) != hi) {
+      in.fail("tile " + std::to_string(t) + " has inconsistent row range");
     }
-    if (!(in >> key >> lo >> hi) || key != "rows" || lo != t * tile_rows ||
-        hi != std::min<std::size_t>(dimension, lo + tile_rows)) {
-      bad_checkpoint(path, "tile " + std::to_string(t) + " has inconsistent row range");
-    }
-    if (!(in >> key >> ones) || key != "ones") bad_checkpoint(path, "tile record missing ones");
-    if (!(in >> key >> bits_hex) || key != "bits" || !parse_digest_hex(bits_hex, bits_digest)) {
-      bad_checkpoint(path, "tile record missing bits digest");
-    }
-    if (!(in >> key >> seg.rows) || key != "pivots") bad_checkpoint(path, "tile record missing pivots");
-    if (!(in >> key >> seg_hex) || key != "seg" || !parse_digest_hex(seg_hex, seg.digest)) {
-      bad_checkpoint(path, "tile record missing segment digest");
-    }
-    std::ostringstream line;
-    line << "tile " << t << " rows " << lo << " " << hi << " ones " << ones << " bits "
-         << bits_hex << " pivots " << seg.rows << " seg " << seg_hex;
-    st.tile_lines.push_back(line.str());
+    in.u64(tile[6]);  // ones and bits are not needed to resume, only validated
+    in.digest(tile[8]);
+    const SegmentMeta seg{t, static_cast<std::size_t>(in.u64(tile[10])), in.digest(tile[12])};
     st.segments.push_back(seg);
     pivot_total += seg.rows;
+    st.tile_lines.emplace_back(in.line());
+    st.chain = fnv1a(digest_hex(st.chain) + "\n" + st.tile_lines.back());
   }
-  if (pivot_total != st.rank) bad_checkpoint(path, "per-tile pivot counts do not sum to rank");
+  in.expect_end();
+  if (st.chain != recorded_chain) in.fail("chain digest does not match the tile records");
+  if (pivot_total != st.rank) in.fail("per-tile pivot counts do not sum to rank");
   return st;
 }
 

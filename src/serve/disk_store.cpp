@@ -17,22 +17,6 @@ namespace {
 constexpr std::string_view kEntryMagic = "bccd-artifact v1\n";
 constexpr std::string_view kEntrySuffix = ".art";
 
-// Consumes "<label> <16 hex>\n" at `pos`, returning the digest. Empty
-// optional on any mismatch; the caller quarantines.
-std::optional<std::uint64_t> take_hex_line(std::string_view bytes, std::size_t& pos,
-                                           std::string_view label) {
-  const std::size_t need = label.size() + 1 + 16 + 1;
-  if (bytes.size() - pos < need) return std::nullopt;
-  if (bytes.substr(pos, label.size()) != label || bytes[pos + label.size()] != ' ') {
-    return std::nullopt;
-  }
-  std::uint64_t value = 0;
-  if (!parse_digest_hex(bytes.substr(pos + label.size() + 1, 16), value)) return std::nullopt;
-  if (bytes[pos + need - 1] != '\n') return std::nullopt;
-  pos += need;
-  return value;
-}
-
 }  // namespace
 
 DiskStore::DiskStore(std::string dir) : dir_(std::move(dir)) {
@@ -70,50 +54,24 @@ std::optional<std::string> DiskStore::lookup(std::uint64_t key) {
 }
 
 std::optional<std::string> DiskStore::read_verified(std::uint64_t key, const std::string& path) {
-  std::string bytes;
   try {
-    bytes = read_file(path);
+    const std::string bytes = read_file(path);
+    RecordReader in(bytes, "disk store entry " + path);
+    in.expect_bytes(kEntryMagic, "not a bccd artifact");
+    const std::uint64_t recorded_key = in.digest(in.next({"key", ""})[1]);
+    const std::uint64_t digest = in.digest(in.next({"digest", ""})[1]);
+    const std::uint64_t len = in.u64(in.next({"len", ""})[1]);
+    // The length must account for every remaining byte: truncated or
+    // trailing garbage both fail here.
+    const std::string_view artifact = in.rest();
+    if (recorded_key != key || artifact.size() != len || fnv1a(artifact) != digest) {
+      in.fail("key, length or digest does not match");
+    }
+    return std::string(artifact);
   } catch (const CheckpointError&) {
     quarantine(path);
     return std::nullopt;
   }
-
-  std::size_t pos = 0;
-  const auto bad = [&]() -> std::optional<std::string> {
-    quarantine(path);
-    return std::nullopt;
-  };
-  if (bytes.size() < kEntryMagic.size() ||
-      std::string_view(bytes).substr(0, kEntryMagic.size()) != kEntryMagic) {
-    return bad();
-  }
-  pos = kEntryMagic.size();
-  const auto recorded_key = take_hex_line(bytes, pos, "key");
-  if (!recorded_key || *recorded_key != key) return bad();
-  const auto recorded_digest = take_hex_line(bytes, pos, "digest");
-  if (!recorded_digest) return bad();
-
-  // "len <decimal>\n" — strict digits, must account for every remaining byte.
-  constexpr std::string_view kLen = "len ";
-  if (bytes.size() - pos < kLen.size() || std::string_view(bytes).substr(pos, kLen.size()) != kLen) {
-    return bad();
-  }
-  pos += kLen.size();
-  std::uint64_t len = 0;
-  std::size_t digits = 0;
-  while (pos < bytes.size() && bytes[pos] >= '0' && bytes[pos] <= '9') {
-    if (len > (UINT64_MAX - 9) / 10) return bad();
-    len = len * 10 + static_cast<std::uint64_t>(bytes[pos] - '0');
-    ++pos;
-    ++digits;
-  }
-  if (digits == 0 || pos >= bytes.size() || bytes[pos] != '\n') return bad();
-  ++pos;
-  if (bytes.size() - pos != len) return bad();  // truncated or trailing garbage
-
-  std::string artifact = bytes.substr(pos);
-  if (fnv1a(artifact) != *recorded_digest) return bad();
-  return artifact;
 }
 
 void DiskStore::quarantine(const std::string& path) {

@@ -208,12 +208,36 @@ TEST(Campaign, TruncatedCheckpointIsRejectedNotResumed) {
 TEST(Campaign, GarbageCheckpointIsRejectedNotResumed) {
   const std::string dir = test_dir();
   std::filesystem::create_directories(dir + "/out");
-  raw_write(campaign_checkpoint_path(dir), "not a checkpoint at all\n");
+  const std::string ckpt = campaign_checkpoint_path(dir);
+  raw_write(ckpt, "not a checkpoint at all\n");
 
   CampaignConfig resume;
   resume.dir = dir;
   resume.resume = true;
-  EXPECT_THROW(CampaignRunner(resume).run(synthetic_campaign(31)), CheckpointError);
+  const Campaign campaign = synthetic_campaign(31);
+  EXPECT_THROW(CampaignRunner(resume).run(campaign), CheckpointError);
+
+  // Padding rewritten under a valid trailer is refused too: fields are
+  // separated by exactly one space.
+  CampaignConfig config;
+  config.dir = dir;
+  config.stop_after_batches = 1;
+  config.threads = 1;
+  std::filesystem::remove(ckpt);
+  ASSERT_TRUE(CampaignRunner(config).run(campaign).interrupted);
+  const std::string clean = read_snapshot(ckpt);
+  const std::size_t job0 = clean.find("\njob 0 ") + 1;
+  ASSERT_NE(job0, 0u);
+  const std::string rewrites[] = {
+      std::string(clean).replace(job0, 5, "job 0  "),  // doubled space
+      std::string(clean).insert(job0, " "),           // leading space
+  };
+  for (const std::string& body : rewrites) {
+    write_snapshot_atomic(ckpt, body);
+    EXPECT_THROW(CampaignRunner(resume).run(campaign), CheckpointError) << body;
+  }
+  write_snapshot_atomic(ckpt, clean);
+  EXPECT_TRUE(CampaignRunner(resume).run(campaign).all_done());
 }
 
 TEST(Campaign, TamperedOutputArtifactIsRejectedNotResumed) {

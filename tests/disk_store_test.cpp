@@ -153,6 +153,30 @@ TEST(DiskStore, KeyFilenameMismatchIsQuarantined) {
   EXPECT_EQ(store.stats().quarantined, 1u);
 }
 
+TEST(DiskStore, PaddedOrSignedHeaderIsQuarantined) {
+  TempDir dir;
+  DiskStore store(dir.path);
+  store.insert(5, "abc");
+  const std::string path = store.entry_path(5);
+  const std::string clean = read_file(path);
+  const std::size_t len = clean.find("len 3\n");
+  const std::size_t key_end = clean.find('\n', clean.find("key "));
+  ASSERT_NE(len, std::string::npos);
+  const std::string rewrites[] = {
+      std::string(clean).replace(len, 5, "len +3"),
+      std::string(clean).replace(len, 5, "len  3"),
+      std::string(clean).insert(key_end, " "),  // trailing space after the key
+  };
+  std::uint64_t quarantined = 0;
+  for (const std::string& bytes : rewrites) {
+    write_file_atomic(path, bytes);
+    EXPECT_FALSE(store.lookup(5).has_value()) << bytes;
+    EXPECT_EQ(store.stats().quarantined, ++quarantined) << bytes;
+  }
+  write_file_atomic(path, clean);
+  EXPECT_EQ(store.lookup(5), std::optional<std::string>("abc"));
+}
+
 TEST(DiskStore, RejectsUnusableDirectory) {
   EXPECT_THROW(DiskStore("/proc/definitely/not/creatable"), ServeError);
 }

@@ -388,22 +388,41 @@ TEST(TiledRank, CorruptSegmentIsDetectedOnResume) {
   EXPECT_THROW(tiled_partition_rank(cfg), CheckpointError);
 }
 
+// Replaces the first `from` in `body` with `to`.
+std::string replace_first(std::string body, const std::string& from, const std::string& to) {
+  const std::size_t at = body.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) body.replace(at, from.size(), to);
+  return body;
+}
+
+// Replaces the value that follows the first `key` in `body`.
+std::string with_value(std::string body, const std::string& key, const std::string& value) {
+  const std::size_t at = body.find(key);
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return body;
+  const std::size_t start = at + key.size();
+  body.replace(start, body.find_first_of(" \n", start) - start, value);
+  return body;
+}
+
 TEST(TiledRank, TamperedCheckpointIsDetected) {
   const std::string dir = test_dir();
   TiledRankConfig cfg = base_config(5, RankField::kGf2, 13);
   cfg.dir = dir;
-  cfg.stop_after_tiles = 1;
-  tiled_partition_rank(cfg);
+  cfg.stop_after_tiles = 2;
+  const TiledRankReport stopped = tiled_partition_rank(cfg);
   const std::string path = rank_checkpoint_path(dir);
+  const std::string clean = read_snapshot(path);
   std::string snapshot;
   {
     std::ifstream in(path, std::ios::binary);
     snapshot.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
   }
   // Hand-edit the claimed rank; the FNV trailer no longer matches.
-  const std::size_t pos = snapshot.find("rank ");
+  const std::size_t pos = snapshot.find("\nrank ");
   ASSERT_NE(pos, std::string::npos);
-  snapshot[pos + 5] = snapshot[pos + 5] == '9' ? '8' : '9';
+  snapshot[pos + 6] = snapshot[pos + 6] == '9' ? '8' : '9';
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(snapshot.data(), static_cast<std::streamsize>(snapshot.size()));
@@ -411,6 +430,26 @@ TEST(TiledRank, TamperedCheckpointIsDetected) {
   cfg.resume = true;
   cfg.stop_after_tiles = 0;
   EXPECT_THROW(tiled_partition_rank(cfg), CheckpointError);
+
+  // Edits rewritten with a valid trailer: the record grammar and the
+  // re-derived chain must refuse each one.
+  const std::pair<const char*, std::string> rewrites[] = {
+      {"signed ones", with_value(clean, " ones ", "-447")},
+      {"signed tiles-done", with_value(clean, "\ntiles-done ", "+2")},
+      {"tab and spaces after rank", replace_first(clean, "\nrank ", "\nrank\t  ")},
+      {"tile record split over two lines", replace_first(clean, " bits ", "\nbits ")},
+      {"trailing non-record line", clean + "not a record\n"},
+      {"tile edit under the old chain", replace_first(clean, " ones ", " ones 1")},
+  };
+  for (const auto& [what, body] : rewrites) {
+    write_snapshot_atomic(path, body);
+    EXPECT_THROW(tiled_partition_rank(cfg), CheckpointError) << what;
+  }
+  // The clean body, rewritten the same way, still resumes to the end.
+  write_snapshot_atomic(path, clean);
+  const TiledRankReport resumed = tiled_partition_rank(cfg);
+  EXPECT_EQ(resumed.tiles_resumed, stopped.tiles_run);
+  EXPECT_TRUE(resumed.complete);
 }
 
 TEST(TiledRank, ResumeRejectsMismatchedConfiguration) {
