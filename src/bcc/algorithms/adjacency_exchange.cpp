@@ -1,7 +1,6 @@
 #include "bcc/algorithms/adjacency_exchange.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "common/check.h"
 #include "graph/components.h"
@@ -116,33 +115,6 @@ GraphPredicate k4_free_predicate() {
 
 GraphPredicate connectivity_predicate() {
   return [](const Graph& g) { return is_connected(g); };
-}
-
-GraphPredicate diameter_at_most_predicate(std::size_t d) {
-  return [d](const Graph& g) {
-    // BFS from every vertex; infinite distances (disconnected) fail.
-    const std::size_t n = g.num_vertices();
-    for (VertexId s = 0; s < n; ++s) {
-      std::vector<std::size_t> dist(n, SIZE_MAX);
-      std::queue<VertexId> q;
-      dist[s] = 0;
-      q.push(s);
-      while (!q.empty()) {
-        const VertexId v = q.front();
-        q.pop();
-        for (VertexId u : g.neighbors(v)) {
-          if (dist[u] == SIZE_MAX) {
-            dist[u] = dist[v] + 1;
-            q.push(u);
-          }
-        }
-      }
-      for (VertexId v = 0; v < n; ++v) {
-        if (dist[v] == SIZE_MAX || dist[v] > d) return false;
-      }
-    }
-    return true;
-  };
 }
 
 }  // namespace bcclb

@@ -54,6 +54,5 @@ AlgorithmFactory adjacency_exchange_factory(GraphPredicate predicate);
 bool graph_has_k4(const Graph& g);
 GraphPredicate k4_free_predicate();         // true iff no K4
 GraphPredicate connectivity_predicate();    // true iff connected
-GraphPredicate diameter_at_most_predicate(std::size_t d);
 
 }  // namespace bcclb

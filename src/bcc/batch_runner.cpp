@@ -46,13 +46,6 @@ const char* job_status_name(JobStatus status) {
   return "?";
 }
 
-std::size_t BatchReport::first_failure() const {
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (!jobs[i].ok()) return i;
-  }
-  return jobs.size();
-}
-
 void BatchRunner::for_each_with_engine(
     std::size_t count, const std::function<void(std::size_t, RoundEngine&)>& body) const {
   // One engine per worker, created on the worker's first job and reused for

@@ -87,8 +87,6 @@ struct BatchReport {
   std::size_t num_timed_out = 0;
 
   bool all_ok() const { return num_ok == jobs.size(); }
-  // Lowest-indexed non-ok job, or jobs.size() when all succeeded.
-  std::size_t first_failure() const;
 };
 
 // Failure policy for run_reported.

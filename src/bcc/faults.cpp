@@ -86,16 +86,6 @@ FaultPlan FaultPlan::random(std::uint64_t seed, std::size_t n, unsigned max_roun
   return plan;
 }
 
-std::vector<VertexId> FaultPlan::crash_victims() const {
-  std::vector<VertexId> victims;
-  for (const FaultEvent& e : events_) {
-    if (e.kind == FaultKind::kCrashStop) victims.push_back(e.vertex);
-  }
-  std::sort(victims.begin(), victims.end());
-  victims.erase(std::unique(victims.begin(), victims.end()), victims.end());
-  return victims;
-}
-
 FaultInjector::FaultInjector(const FaultPlan& plan, std::size_t n, unsigned bandwidth,
                              std::uint64_t instance_digest, unsigned attempt)
     : crash_round_(n, kNever), bandwidth_(bandwidth), instance_digest_(instance_digest) {

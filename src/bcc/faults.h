@@ -92,9 +92,6 @@ class FaultPlan {
   bool transient() const { return transient_; }
   const std::vector<FaultEvent>& events() const { return events_; }
 
-  // Vertices with a kCrashStop event, deduplicated.
-  std::vector<VertexId> crash_victims() const;
-
  private:
   std::vector<FaultEvent> events_;
   bool transient_ = false;

@@ -30,10 +30,4 @@ std::string Message::to_string() const {
   return s;
 }
 
-char Message::as_char() const {
-  if (silent_) return '_';
-  BCCLB_REQUIRE(len_ == 1, "as_char requires a 1-bit message");
-  return bit(0) ? '1' : '0';
-}
-
 }  // namespace bcclb

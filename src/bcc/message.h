@@ -36,9 +36,6 @@ class Message {
   // "_" for ⊥, else the bit string, e.g. "010".
   std::string to_string() const;
 
-  // Single character for b = 1 transcript labels: '0', '1' or '_'.
-  char as_char() const;
-
   friend bool operator==(const Message&, const Message&) = default;
 
  private:

@@ -14,17 +14,6 @@ BigUint::BigUint(std::uint64_t v) {
   }
 }
 
-BigUint BigUint::from_decimal(const std::string& s) {
-  BCCLB_REQUIRE(!s.empty(), "empty decimal string");
-  BigUint out;
-  for (char c : s) {
-    BCCLB_REQUIRE(c >= '0' && c <= '9', "non-digit in decimal string");
-    out *= 10;
-    out += BigUint(static_cast<std::uint64_t>(c - '0'));
-  }
-  return out;
-}
-
 void BigUint::trim() {
   while (!limbs_.empty() && limbs_.back() == 0) limbs_.pop_back();
 }
@@ -39,23 +28,6 @@ BigUint& BigUint::operator+=(const BigUint& rhs) {
     carry = sum >> 32;
   }
   if (carry) limbs_.push_back(static_cast<std::uint32_t>(carry));
-  return *this;
-}
-
-BigUint& BigUint::operator-=(const BigUint& rhs) {
-  BCCLB_REQUIRE(compare(rhs) >= 0, "BigUint subtraction would underflow");
-  std::int64_t borrow = 0;
-  for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    std::int64_t diff = static_cast<std::int64_t>(limbs_[i]) - borrow -
-                        (i < rhs.limbs_.size() ? static_cast<std::int64_t>(rhs.limbs_[i]) : 0);
-    borrow = 0;
-    if (diff < 0) {
-      diff += (1LL << 32);
-      borrow = 1;
-    }
-    limbs_[i] = static_cast<std::uint32_t>(diff);
-  }
-  trim();
   return *this;
 }
 

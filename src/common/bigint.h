@@ -18,12 +18,9 @@ class BigUint {
   BigUint() = default;
   BigUint(std::uint64_t v);  // NOLINT(google-explicit-constructor) — numeric literal convenience
 
-  static BigUint from_decimal(const std::string& s);
-
   bool is_zero() const { return limbs_.empty(); }
 
   BigUint& operator+=(const BigUint& rhs);
-  BigUint& operator-=(const BigUint& rhs);  // requires *this >= rhs
   BigUint& operator*=(std::uint32_t m);
   BigUint operator*(const BigUint& rhs) const;
 
@@ -31,7 +28,6 @@ class BigUint {
   BigUint divided_by_small(std::uint32_t d) const;
 
   friend BigUint operator+(BigUint a, const BigUint& b) { return a += b; }
-  friend BigUint operator-(BigUint a, const BigUint& b) { return a -= b; }
   friend BigUint operator*(BigUint a, std::uint32_t m) { return a *= m; }
 
   // Three-way compare: negative / zero / positive as *this <=> rhs.

@@ -1,95 +1,36 @@
 #include "common/bitset_reduce.h"
 
 #include <algorithm>
-#include <bit>
 #include <vector>
 
 #include "common/parallel.h"
 
 namespace bcclb {
 
-namespace {
-
-// Shards [0, count) into kReduceBlockWords-sized blocks, computes
-// per-block partials in parallel, and folds them in block order. Every op
-// used here is associative + commutative, so the fold equals the serial
-// answer for any thread count.
-template <typename Partial, typename BlockFn, typename FoldFn>
-Partial blocked_reduce(std::size_t count, unsigned threads, Partial identity, BlockFn block_fn,
-                       FoldFn fold) {
-  if (count == 0) return identity;
-  const std::size_t blocks = (count + kReduceBlockWords - 1) / kReduceBlockWords;
-  if (blocks == 1) return block_fn(0, count);
-  std::vector<Partial> partials(blocks, identity);
+MinMaxU64 min_max_values(std::span<const std::uint64_t> values, unsigned threads) {
+  const auto block_min_max = [&](std::size_t begin, std::size_t end) {
+    MinMaxU64 mm;
+    for (std::size_t i = begin; i < end; ++i) {
+      mm.min = std::min(mm.min, values[i]);
+      mm.max = std::max(mm.max, values[i]);
+    }
+    return mm;
+  };
+  const std::size_t blocks = (values.size() + kReduceBlockWords - 1) / kReduceBlockWords;
+  if (blocks <= 1) return block_min_max(0, values.size());
+  std::vector<MinMaxU64> partials(blocks);
   parallel_for_blocks(blocks, threads, [&](std::size_t b0, std::size_t b1) {
     for (std::size_t b = b0; b < b1; ++b) {
       const std::size_t begin = b * kReduceBlockWords;
-      const std::size_t end = std::min(count, begin + kReduceBlockWords);
-      partials[b] = block_fn(begin, end);
+      partials[b] = block_min_max(begin, std::min(values.size(), begin + kReduceBlockWords));
     }
   });
-  Partial acc = identity;
-  for (const Partial& p : partials) acc = fold(acc, p);
+  MinMaxU64 acc;
+  for (const MinMaxU64& p : partials) {
+    acc.min = std::min(acc.min, p.min);
+    acc.max = std::max(acc.max, p.max);
+  }
   return acc;
-}
-
-}  // namespace
-
-std::uint64_t popcount_words(std::span<const std::uint64_t> words, unsigned threads) {
-  return blocked_reduce<std::uint64_t>(
-      words.size(), threads, 0,
-      [&](std::size_t begin, std::size_t end) {
-        std::uint64_t c = 0;
-        for (std::size_t i = begin; i < end; ++i) c += std::popcount(words[i]);
-        return c;
-      },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; });
-}
-
-bool all_bits_set(std::span<const std::uint64_t> words, std::size_t num_bits, unsigned threads) {
-  if (num_bits == 0) return true;
-  const std::size_t full = num_bits / 64;
-  const unsigned tail = static_cast<unsigned>(num_bits % 64);
-  // AND-reduce the full words; ~0 survives iff every bit is set.
-  const std::uint64_t folded = blocked_reduce<std::uint64_t>(
-      full, threads, ~0ULL,
-      [&](std::size_t begin, std::size_t end) {
-        std::uint64_t acc = ~0ULL;
-        for (std::size_t i = begin; i < end; ++i) acc &= words[i];
-        return acc;
-      },
-      [](std::uint64_t a, std::uint64_t b) { return a & b; });
-  if (folded != ~0ULL) return false;
-  if (tail == 0) return true;
-  const std::uint64_t mask = (1ULL << tail) - 1;
-  return (words[full] & mask) == mask;
-}
-
-MinMaxU64 min_max_values(std::span<const std::uint64_t> values, unsigned threads) {
-  return blocked_reduce<MinMaxU64>(
-      values.size(), threads, MinMaxU64{},
-      [&](std::size_t begin, std::size_t end) {
-        MinMaxU64 mm;
-        for (std::size_t i = begin; i < end; ++i) {
-          mm.min = std::min(mm.min, values[i]);
-          mm.max = std::max(mm.max, values[i]);
-        }
-        return mm;
-      },
-      [](const MinMaxU64& a, const MinMaxU64& b) {
-        return MinMaxU64{std::min(a.min, b.min), std::max(a.max, b.max)};
-      });
-}
-
-std::uint64_t sum_widths(std::span<const std::uint8_t> widths, unsigned threads) {
-  return blocked_reduce<std::uint64_t>(
-      widths.size(), threads, 0,
-      [&](std::size_t begin, std::size_t end) {
-        std::uint64_t s = 0;
-        for (std::size_t i = begin; i < end; ++i) s += widths[i];
-        return s;
-      },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; });
 }
 
 }  // namespace bcclb

@@ -1,9 +1,7 @@
-// Cache-blocked reductions over flat std::uint64_t buffers.
+// Cache-blocked reduction over a flat std::uint64_t buffer.
 //
-// The SoA round engine (bcc/soa_engine.h) keeps per-vertex round state in
-// flat arrays — broadcast values, packed silence/done bitsets — and its
-// whole-graph aggregation steps (is every vertex finished? do all labels
-// agree?) are reductions over those buffers. All of the operations here are
+// The SoA min-ID flood (bcc/algorithms/min_id_flood.cpp) checks whether all
+// labels agree by taking the min and max of its value column. Min and max are
 // associative and commutative, so any partition of the index range combines
 // to the same answer: serial and parallel calls are bit-identical for every
 // thread count, the same contract parallel_for_blocks documents. Work is
@@ -20,24 +18,13 @@ namespace bcclb {
 // Words per reduction block: 4096 * 8 B = 32 KiB, comfortably L1/L2-resident.
 inline constexpr std::size_t kReduceBlockWords = 4096;
 
-// Total set bits. threads == 0 means default_parallel_threads().
-std::uint64_t popcount_words(std::span<const std::uint64_t> words, unsigned threads = 1);
-
-// True iff every one of num_bits bits is set in the packed bitset (bit i of
-// the set lives at words[i / 64] bit i % 64; trailing bits of the last word
-// are ignored). An empty range is all-set.
-bool all_bits_set(std::span<const std::uint64_t> words, std::size_t num_bits,
-                  unsigned threads = 1);
-
 struct MinMaxU64 {
   std::uint64_t min = ~0ULL;
   std::uint64_t max = 0;
 };
 
 // One-pass min and max of a value array; the identity element on empty input.
+// threads == 0 means default_parallel_threads().
 MinMaxU64 min_max_values(std::span<const std::uint64_t> values, unsigned threads = 1);
-
-// Sum of an 8-bit width array (the broadcast-length column of an SoA outbox).
-std::uint64_t sum_widths(std::span<const std::uint8_t> widths, unsigned threads = 1);
 
 }  // namespace bcclb

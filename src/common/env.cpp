@@ -1,9 +1,7 @@
 #include "common/env.h"
 
+#include <cerrno>
 #include <cstdlib>
-#include <string>
-
-#include "common/errors.h"
 
 namespace bcclb {
 
@@ -39,17 +37,6 @@ std::optional<std::uint64_t> env_u64(const char* name) {
   const char* raw = std::getenv(name);
   if (raw == nullptr) return std::nullopt;
   return parse_env_u64(raw);
-}
-
-std::optional<std::uint64_t> env_u64_required_valid(const char* name) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return std::nullopt;
-  const auto parsed = parse_env_u64(raw);
-  if (!parsed) {
-    throw BcclbError(std::string(name) + "=\"" + raw +
-                     "\" is not a plain unsigned decimal (strict parse)");
-  }
-  return parsed;
 }
 
 std::optional<std::string_view> env_string(const char* name) {

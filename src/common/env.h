@@ -4,24 +4,17 @@
 // rejects leading whitespace, signs, trailing garbage, and overflow, so a
 // typo'd override is never half-trusted. Every numeric BCCLB_* variable goes
 // through this one parser now — default_parallel_threads() delegates here,
-// and the `bcclb sim` knobs (BCCLB_SIM_N, BCCLB_SIM_SEED, BCCLB_SIM_FAMILY)
-// are read with the env_* helpers instead of ad-hoc atoi. Structured
-// variables build on the same primitives: BCCLB_SERVE_FAULTS (the serving
-// chaos schedule, serve/chaos.h) parses each key=value field with
-// parse_env_u64 and throws on anything it does not recognize. The persisted
-// formats use the same rule: every number in the campaign checkpoint, the
-// rank checkpoint and the disk-store entry header goes through
-// parse_env_u64 via RecordReader (bcc/checkpoint.h), as does every number in
-// the golden stores' JSON.
+// as do the CLI's numeric flags. Structured variables build on the same
+// primitives: BCCLB_SERVE_FAULTS (the serving chaos schedule, serve/chaos.h)
+// parses each key=value field with parse_env_u64 and throws on anything it
+// does not recognize. The persisted formats use the same rule: every number
+// in the campaign checkpoint, the rank checkpoint and the disk-store entry
+// header goes through parse_env_u64 via RecordReader (bcc/checkpoint.h), as
+// does every number in the golden stores' JSON.
 //
-// Two failure disciplines, chosen per call site:
-//   parse_env_u64 / env_u64  — malformed yields nullopt; the caller decides
-//                              (default_parallel_threads falls back to the
-//                              hardware default, its documented behaviour).
-//   env_u64_required_valid   — malformed throws BcclbError naming the
-//                              variable; the CLI uses this so a broken
-//                              override fails loudly instead of silently
-//                              running the wrong experiment.
+// A malformed value yields nullopt and the caller decides: the CLI rejects a
+// malformed flag, default_parallel_threads falls back to the hardware
+// default (its documented behaviour), and the test-hook delays are ignored.
 #pragma once
 
 #include <cstdint>
@@ -38,13 +31,8 @@ std::optional<std::uint64_t> parse_env_u64(std::string_view text);
 // malformed (a malformed value is never trusted).
 std::optional<std::uint64_t> env_u64(const char* name);
 
-// getenv(name) through parse_env_u64; nullopt only when unset. A set-but-
-// malformed value throws BcclbError naming the variable and the offending
-// text.
-std::optional<std::uint64_t> env_u64_required_valid(const char* name);
-
-// Raw string lookup: nullopt when unset. (For enum-valued variables like
-// BCCLB_SIM_FAMILY whose validation lives with the enum's parser.)
+// Raw string lookup: nullopt when unset. (For structured variables like
+// BCCLB_SERVE_FAULTS whose validation lives with their own parser.)
 std::optional<std::string_view> env_string(const char* name);
 
 // Strict parse of a byte budget: whole number with optional single K/M/G

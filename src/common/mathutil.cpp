@@ -53,13 +53,4 @@ unsigned bit_width_u64(std::uint64_t v) {
   return static_cast<unsigned>(std::bit_width(v));
 }
 
-std::uint64_t checked_pow(std::uint64_t base, unsigned exp) {
-  std::uint64_t r = 1;
-  for (unsigned i = 0; i < exp; ++i) {
-    BCCLB_REQUIRE(base == 0 || r <= UINT64_MAX / base, "checked_pow overflow");
-    r *= base;
-  }
-  return r;
-}
-
 }  // namespace bcclb

@@ -27,7 +27,4 @@ unsigned ceil_log2(std::uint64_t v);
 // Number of bits needed to write v (bit_width; 0 -> 0).
 unsigned bit_width_u64(std::uint64_t v);
 
-// Integer power with overflow check.
-std::uint64_t checked_pow(std::uint64_t base, unsigned exp);
-
 }  // namespace bcclb

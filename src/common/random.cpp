@@ -43,12 +43,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
   }
 }
 
-std::int64_t Rng::next_in(std::int64_t lo, std::int64_t hi) {
-  BCCLB_REQUIRE(lo <= hi, "next_in requires lo <= hi");
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(span == 0 ? next_u64() : next_below(span));
-}
-
 double Rng::next_double() {
   // 53 high bits → uniform double in [0, 1).
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;

@@ -49,9 +49,6 @@ class Rng {
   // so the result is exactly uniform.
   std::uint64_t next_below(std::uint64_t bound);
 
-  // Uniform in [lo, hi] inclusive.
-  std::int64_t next_in(std::int64_t lo, std::int64_t hi);
-
   // Uniform in [0, 1).
   double next_double();
 

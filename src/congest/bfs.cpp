@@ -1,7 +1,5 @@
 #include "congest/bfs.h"
 
-#include <queue>
-
 #include "common/check.h"
 
 namespace bcclb {
@@ -56,24 +54,6 @@ BfsRun run_congest_bfs(const Graph& g, VertexId source, unsigned bandwidth) {
     }
   }
   return out;
-}
-
-std::vector<std::optional<unsigned>> reference_distances(const Graph& g, VertexId source) {
-  std::vector<std::optional<unsigned>> dist(g.num_vertices());
-  dist[source] = 0;
-  std::queue<VertexId> q;
-  q.push(source);
-  while (!q.empty()) {
-    const VertexId v = q.front();
-    q.pop();
-    for (VertexId u : g.neighbors(v)) {
-      if (!dist[u].has_value()) {
-        dist[u] = *dist[v] + 1;
-        q.push(u);
-      }
-    }
-  }
-  return dist;
 }
 
 }  // namespace bcclb

@@ -47,7 +47,4 @@ struct BfsRun {
 // Runs BFS from `source`; max rounds n + 2.
 BfsRun run_congest_bfs(const Graph& g, VertexId source, unsigned bandwidth = 1);
 
-// Reference distances by sequential BFS.
-std::vector<std::optional<unsigned>> reference_distances(const Graph& g, VertexId source);
-
 }  // namespace bcclb

@@ -174,17 +174,6 @@ StarErrorReport star_error_experiment(std::size_t n, unsigned t,
   return report;
 }
 
-ActiveEdgeFn algorithm_active_edges(unsigned t, const AlgorithmFactory& factory,
-                                    const std::string& x, const std::string& y,
-                                    const PublicCoins* coins) {
-  return [t, factory, x, y, coins](const CycleStructure& cs) {
-    const BccInstance instance = canonical_kt0_instance(cs);
-    RoundEngine engine;
-    const Transcript transcript = run_for_transcript(engine, instance, factory, t, coins);
-    return active_edges(cs, transcript, x, y);
-  };
-}
-
 SampledErrorReport kt0_sampled_error(std::size_t n, unsigned t,
                                      const AlgorithmFactory& factory, std::size_t samples,
                                      std::uint64_t seed, const PublicCoins* coins) {

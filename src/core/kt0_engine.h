@@ -112,11 +112,6 @@ Kt0MatchingReport kt0_matching_experiment(std::size_t n, unsigned t,
                                           const AlgorithmFactory& factory,
                                           const PublicCoins* coins = nullptr);
 
-// The activity function "ran algorithm for t rounds; edges labelled x+y".
-ActiveEdgeFn algorithm_active_edges(unsigned t, const AlgorithmFactory& factory,
-                                    const std::string& x, const std::string& y,
-                                    const PublicCoins* coins = nullptr);
-
 struct SampledErrorReport {
   std::size_t n = 0;
   unsigned t = 0;

@@ -28,9 +28,6 @@ struct CsrAdjacency {
     return std::span<const std::uint32_t>(targets).subspan(offsets[i], row_size(i));
   }
 
-  static CsrAdjacency from_nested(const std::vector<std::vector<std::uint32_t>>& nested);
-  std::vector<std::vector<std::uint32_t>> to_nested() const;
-
   friend bool operator==(const CsrAdjacency&, const CsrAdjacency&) = default;
 };
 

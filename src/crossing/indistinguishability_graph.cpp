@@ -167,14 +167,6 @@ IndistinguishabilityGraph build_indistinguishability_graph(
 }
 
 IndistinguishabilityGraph build_indistinguishability_graph(std::size_t n,
-                                                           const ActiveEdgeTable& active,
-                                                           unsigned num_threads) {
-  BCCLB_REQUIRE(n >= 6 && n <= 11, "exhaustive enumeration supports 6 <= n <= 11");
-  return build_indistinguishability_graph(all_one_cycle_structures(n),
-                                          all_two_cycle_structures(n), active, num_threads);
-}
-
-IndistinguishabilityGraph build_indistinguishability_graph(std::size_t n,
                                                            const ActiveEdgeFn& active,
                                                            unsigned num_threads) {
   BCCLB_REQUIRE(n >= 6 && n <= 11, "exhaustive enumeration supports 6 <= n <= 11");

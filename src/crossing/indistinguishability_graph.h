@@ -68,14 +68,11 @@ struct IndistinguishabilityGraph {
 
 // Enumerates V1 and V2 and runs the packed crossing kernel. num_threads == 0
 // uses the BatchRunner default (BCCLB_THREADS / hardware concurrency); every
-// thread count yields identical bytes. The ActiveEdgeFn overload evaluates
-// the closure once per one-cycle, serially in enumeration order (closures
-// may be stateful), before entering the parallel kernel.
+// thread count yields identical bytes. The closure is evaluated once per
+// one-cycle, serially in enumeration order (closures may be stateful),
+// before entering the parallel kernel.
 IndistinguishabilityGraph build_indistinguishability_graph(std::size_t n,
                                                            const ActiveEdgeFn& active,
-                                                           unsigned num_threads = 0);
-IndistinguishabilityGraph build_indistinguishability_graph(std::size_t n,
-                                                           const ActiveEdgeTable& active,
                                                            unsigned num_threads = 0);
 
 // Core entry: the crossing kernel over enumerations the caller keeps (the

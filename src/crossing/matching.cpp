@@ -7,16 +7,6 @@
 
 namespace bcclb {
 
-namespace {
-
-void validate_targets(const CsrAdjacency& adj, std::size_t num_right) {
-  for (std::uint32_t r : adj.targets) {
-    BCCLB_REQUIRE(r < num_right, "right index out of range");
-  }
-}
-
-}  // namespace
-
 HopcroftKarp::HopcroftKarp(const CsrAdjacency& adj, std::size_t num_right, unsigned clone_k)
     : adj_(&adj),
       clone_k_(clone_k),
@@ -26,20 +16,9 @@ HopcroftKarp::HopcroftKarp(const CsrAdjacency& adj, std::size_t num_right, unsig
       match_r_(num_right, kUnmatched),
       dist_(num_left_, 0) {
   BCCLB_REQUIRE(clone_k >= 1, "clone factor must be positive");
-  validate_targets(adj, num_right);
-}
-
-HopcroftKarp::HopcroftKarp(const std::vector<std::vector<std::uint32_t>>& adj,
-                           std::size_t num_right)
-    : owned_(CsrAdjacency::from_nested(adj)),
-      adj_(&owned_),
-      clone_k_(1),
-      num_left_(owned_.num_rows()),
-      num_right_(num_right),
-      match_l_(num_left_, kUnmatched),
-      match_r_(num_right, kUnmatched),
-      dist_(num_left_, 0) {
-  validate_targets(owned_, num_right);
+  for (std::uint32_t r : adj.targets) {
+    BCCLB_REQUIRE(r < num_right, "right index out of range");
+  }
 }
 
 bool HopcroftKarp::bfs() {
@@ -99,11 +78,6 @@ std::size_t max_bipartite_matching(const CsrAdjacency& adj, std::size_t num_righ
   return hk.max_matching();
 }
 
-std::size_t max_bipartite_matching(const std::vector<std::vector<std::uint32_t>>& adj,
-                                   std::size_t num_right) {
-  return max_bipartite_matching(CsrAdjacency::from_nested(adj), num_right);
-}
-
 bool has_saturating_k_matching(const CsrAdjacency& adj, std::size_t num_right, unsigned k) {
   BCCLB_REQUIRE(k >= 1, "k must be positive");
   // Theorem 2.1's construction, clone-free: left vertex l of the k-cloned
@@ -119,11 +93,6 @@ bool has_saturating_k_matching(const CsrAdjacency& adj, std::size_t num_right, u
   return hk.max_matching() == positive * k;
 }
 
-bool has_saturating_k_matching(const std::vector<std::vector<std::uint32_t>>& adj,
-                               std::size_t num_right, unsigned k) {
-  return has_saturating_k_matching(CsrAdjacency::from_nested(adj), num_right, k);
-}
-
 unsigned max_saturating_k(const CsrAdjacency& adj, std::size_t num_right, unsigned k_limit) {
   unsigned best = 0;
   for (unsigned k = 1; k <= k_limit; ++k) {
@@ -131,11 +100,6 @@ unsigned max_saturating_k(const CsrAdjacency& adj, std::size_t num_right, unsign
     best = k;
   }
   return best;
-}
-
-unsigned max_saturating_k(const std::vector<std::vector<std::uint32_t>>& adj,
-                          std::size_t num_right, unsigned k_limit) {
-  return max_saturating_k(CsrAdjacency::from_nested(adj), num_right, k_limit);
 }
 
 }  // namespace bcclb

@@ -29,9 +29,6 @@ class HopcroftKarp {
   explicit HopcroftKarp(const CsrAdjacency& adj, std::size_t num_right,
                         unsigned clone_k = 1);
 
-  // Legacy nested-vector entry: converts once into an owned CSR.
-  HopcroftKarp(const std::vector<std::vector<std::uint32_t>>& adj, std::size_t num_right);
-
   // Size of a maximum matching.
   std::size_t max_matching();
 
@@ -47,8 +44,7 @@ class HopcroftKarp {
   bool bfs();
   bool dfs(std::uint32_t l);
 
-  CsrAdjacency owned_;        // backing store for the legacy constructor only
-  const CsrAdjacency* adj_;   // borrowed rows (or &owned_)
+  const CsrAdjacency* adj_;   // borrowed rows
   unsigned clone_k_;
   std::size_t num_left_;      // num_rows * clone_k
   std::size_t num_right_;
@@ -58,21 +54,15 @@ class HopcroftKarp {
 
 // Size of the maximum matching of the bipartite graph (adj, num_right).
 std::size_t max_bipartite_matching(const CsrAdjacency& adj, std::size_t num_right);
-std::size_t max_bipartite_matching(const std::vector<std::vector<std::uint32_t>>& adj,
-                                   std::size_t num_right);
 
 // True iff a k-matching saturating every left vertex of positive degree
 // exists (left vertices with empty adjacency are skipped — an isolated
 // instance has no indistinguishable partner and is excluded from S in
 // Lemma 3.8's statement).
 bool has_saturating_k_matching(const CsrAdjacency& adj, std::size_t num_right, unsigned k);
-bool has_saturating_k_matching(const std::vector<std::vector<std::uint32_t>>& adj,
-                               std::size_t num_right, unsigned k);
 
 // The largest k for which has_saturating_k_matching holds (0 when even k=1
 // fails).
 unsigned max_saturating_k(const CsrAdjacency& adj, std::size_t num_right, unsigned k_limit);
-unsigned max_saturating_k(const std::vector<std::vector<std::uint32_t>>& adj,
-                          std::size_t num_right, unsigned k_limit);
 
 }  // namespace bcclb

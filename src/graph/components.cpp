@@ -42,19 +42,4 @@ bool is_connected(const Graph& g) {
   return g.num_vertices() == 0 || num_components(g) == 1;
 }
 
-std::vector<std::vector<VertexId>> component_sets(const Graph& g) {
-  const auto labels = component_labels(g);
-  std::vector<std::vector<VertexId>> sets;
-  std::vector<std::size_t> index(g.num_vertices(), static_cast<std::size_t>(-1));
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    VertexId root = labels[v];
-    if (index[root] == static_cast<std::size_t>(-1)) {
-      index[root] = sets.size();
-      sets.emplace_back();
-    }
-    sets[index[root]].push_back(v);
-  }
-  return sets;
-}
-
 }  // namespace bcclb

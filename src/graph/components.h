@@ -18,7 +18,4 @@ std::size_t num_components(const Graph& g);
 
 bool is_connected(const Graph& g);
 
-// Vertex sets of the components, each sorted, ordered by smallest element.
-std::vector<std::vector<VertexId>> component_sets(const Graph& g);
-
 }  // namespace bcclb

@@ -33,28 +33,6 @@ CycleStructure random_two_cycle(std::size_t n, Rng& rng) {
   return CycleStructure::from_cycles(n, {std::move(a), std::move(b)});
 }
 
-CycleStructure random_cycle_cover(std::size_t n, std::size_t cycles, std::size_t min_len,
-                                  Rng& rng) {
-  BCCLB_REQUIRE(cycles >= 1, "need at least one cycle");
-  BCCLB_REQUIRE(n >= cycles * min_len, "n too small for requested cover");
-  // Random composition of n into `cycles` parts, each >= min_len, via a
-  // uniformly random choice of cut points over the slack.
-  const std::size_t slack = n - cycles * min_len;
-  std::vector<std::size_t> sizes(cycles, min_len);
-  for (std::size_t s = 0; s < slack; ++s) {
-    ++sizes[rng.next_below(cycles)];
-  }
-  const auto perm = random_permutation(n, rng);
-  std::vector<std::vector<VertexId>> parts;
-  std::size_t at = 0;
-  for (std::size_t size : sizes) {
-    parts.emplace_back(perm.begin() + static_cast<std::ptrdiff_t>(at),
-                       perm.begin() + static_cast<std::ptrdiff_t>(at + size));
-    at += size;
-  }
-  return CycleStructure::from_cycles(n, std::move(parts));
-}
-
 Graph random_gnp(std::size_t n, double p, Rng& rng) {
   BCCLB_REQUIRE(p >= 0.0 && p <= 1.0, "p must be a probability");
   Graph g(n);
@@ -81,12 +59,6 @@ Graph random_forest(std::size_t n, std::size_t trees, Rng& rng) {
       g.add_edge(block[i], block[parent]);
     }
   }
-  return g;
-}
-
-Graph path_graph(std::size_t n) {
-  Graph g(n);
-  for (VertexId v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
   return g;
 }
 

@@ -20,18 +20,11 @@ CycleStructure random_one_cycle(std::size_t n, Rng& rng);
 // all two-cycle structures; the KT-0 engine reweights when it must be.)
 CycleStructure random_two_cycle(std::size_t n, Rng& rng);
 
-// Random cover with `cycles` cycles, each of length >= min_len.
-CycleStructure random_cycle_cover(std::size_t n, std::size_t cycles, std::size_t min_len,
-                                  Rng& rng);
-
 // G(n, p).
 Graph random_gnp(std::size_t n, double p, Rng& rng);
 
 // Random forest with the given number of trees (arboricity 1 inputs for the
 // tightness experiments).
 Graph random_forest(std::size_t n, std::size_t trees, Rng& rng);
-
-// Path 0-1-...-(n-1).
-Graph path_graph(std::size_t n);
 
 }  // namespace bcclb

@@ -29,10 +29,6 @@ double joint_entropy(const JointDistribution& j) {
   return plogp_sum(j.total_mass(), j.masses());
 }
 
-double conditional_entropy_x_given_y(const JointDistribution& j) {
-  return std::max(0.0, joint_entropy(j) - entropy(j.marginal_y()));
-}
-
 double mutual_information(const JointDistribution& j) {
   const double i = entropy(j.marginal_x()) + entropy(j.marginal_y()) - joint_entropy(j);
   return std::max(0.0, i);

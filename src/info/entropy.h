@@ -1,4 +1,4 @@
-// Shannon entropy, conditional entropy and mutual information (base 2),
+// Shannon entropy, joint entropy and mutual information (base 2),
 // following the definitions recalled in Section 2 of the paper.
 #pragma once
 
@@ -11,9 +11,6 @@ double entropy(const Distribution& d);
 
 // Joint entropy H(X, Y).
 double joint_entropy(const JointDistribution& j);
-
-// H(X | Y) = H(X, Y) - H(Y).
-double conditional_entropy_x_given_y(const JointDistribution& j);
 
 // I(X; Y) = H(X) - H(X | Y) = H(X) + H(Y) - H(X, Y). Clamped at 0 to absorb
 // double rounding.

@@ -4,7 +4,7 @@
 // Π_n ordered by refinement is a geometric lattice; its Möbius function
 // satisfies µ(0̂, 1̂) = (-1)^{n-1} (n-1)! and its characteristic polynomial
 // is the falling factorial x(x-1)...(x-n+1). Verifying these identities
-// machine-checks that our refinement order and join/meet implementations
+// machine-checks that our refinement order and join implementation
 // really form the lattice whose rank properties power Corollary 2.4.
 //
 // Exhaustive over all B_n partitions: keep n <= 7 (877 elements, O(B_n^2)

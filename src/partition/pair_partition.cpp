@@ -113,14 +113,4 @@ SetPartition random_perfect_matching(std::size_t n, Rng& rng) {
   return perfect_matching_from_index(n, rng.next_below(num_perfect_matchings(n)));
 }
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>> matching_pairs(const SetPartition& p) {
-  BCCLB_REQUIRE(p.is_perfect_matching(), "not a perfect-matching partition");
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
-  for (const auto& block : p.blocks()) {
-    BCCLB_CHECK(block.size() == 2, "perfect matching block size");
-    out.emplace_back(block[0], block[1]);
-  }
-  return out;
-}
-
 }  // namespace bcclb

@@ -31,7 +31,4 @@ SetPartition perfect_matching_from_index(std::size_t n, std::uint64_t index);
 // Uniformly random perfect matching of [n].
 SetPartition random_perfect_matching(std::size_t n, Rng& rng);
 
-// The pairs {i, j} of the matching, each sorted, ordered by first element.
-std::vector<std::pair<std::uint32_t, std::uint32_t>> matching_pairs(const SetPartition& p);
-
 }  // namespace bcclb

@@ -73,30 +73,4 @@ SetPartition uniform_partition(std::size_t n, Rng& rng) {
   return SetPartition::from_blocks(n, blocks);
 }
 
-SetPartition uniform_partition_with_blocks(std::size_t n, std::size_t k, Rng& rng) {
-  BCCLB_REQUIRE(k >= 1 && k <= n, "block count out of range");
-  std::vector<std::uint32_t> pool(n);
-  for (std::size_t i = 0; i < n; ++i) pool[i] = static_cast<std::uint32_t>(i);
-  std::vector<std::vector<std::uint32_t>> blocks;
-  std::size_t remaining_blocks = k;
-  while (!pool.empty()) {
-    const std::size_t m = pool.size();
-    if (remaining_blocks == 1) {
-      blocks.push_back(draw_block(pool, m, rng));
-      break;
-    }
-    // P(first block has size s) ∝ C(m-1, s-1) S(m-s, remaining_blocks-1).
-    const std::size_t max_size = m - (remaining_blocks - 1);
-    std::vector<double> log_w(max_size);
-    for (std::size_t s = 1; s <= max_size; ++s) {
-      const BigUint& stir = stirling2(m - s, remaining_blocks - 1);
-      log_w[s - 1] = stir.is_zero() ? -1e300 : log2_choose(m - 1, s - 1) + stir.log2();
-    }
-    const std::size_t s = sample_log_weights(log_w, rng) + 1;
-    blocks.push_back(draw_block(pool, s, rng));
-    --remaining_blocks;
-  }
-  return SetPartition::from_blocks(n, blocks);
-}
-
 }  // namespace bcclb

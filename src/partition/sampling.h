@@ -17,8 +17,4 @@ namespace bcclb {
 // Exactly uniform over all B_n set partitions of [n].
 SetPartition uniform_partition(std::size_t n, Rng& rng);
 
-// Uniform over partitions of [n] with exactly k blocks (via Stirling-number
-// weights on the block of the first element).
-SetPartition uniform_partition_with_blocks(std::size_t n, std::size_t k, Rng& rng);
-
 }  // namespace bcclb

@@ -108,18 +108,6 @@ SetPartition SetPartition::join(const SetPartition& other) const {
   return from_labels(labels);
 }
 
-SetPartition SetPartition::meet(const SetPartition& other) const {
-  BCCLB_REQUIRE(ground_size() == other.ground_size(), "ground sets differ");
-  // Two elements share a meet-block iff they share a block in both inputs:
-  // label by the pair (block in *this, block in other).
-  const std::size_t n = rgs_.size();
-  std::vector<std::uint32_t> labels(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    labels[i] = rgs_[i] * static_cast<std::uint32_t>(other.num_blocks_) + other.rgs_[i];
-  }
-  return from_labels(labels);
-}
-
 bool SetPartition::refines(const SetPartition& other) const {
   BCCLB_REQUIRE(ground_size() == other.ground_size(), "ground sets differ");
   // *this refines other iff elements sharing a block here share one there,

@@ -4,7 +4,7 @@
 // partitions: the Partition problem asks whether PA ∨ PB is the one-block
 // partition, TwoPartition restricts inputs to perfect-matching partitions,
 // and PartitionComp asks for the join itself. SetPartition implements the
-// lattice (join, meet, refinement order) with the join realized through
+// lattice (join and refinement order) with the join realized through
 // union-find, exactly the "reachability" characterization in the proof of
 // Theorem 4.3.
 //
@@ -49,10 +49,8 @@ class SetPartition {
   // Blocks as sorted element lists, in order of smallest element.
   std::vector<std::vector<std::uint32_t>> blocks() const;
 
-  // Lattice operations. join is the finest common coarsening (PA ∨ PB in the
-  // paper); meet is the coarsest common refinement.
+  // The lattice join: the finest common coarsening (PA ∨ PB in the paper).
   SetPartition join(const SetPartition& other) const;
-  SetPartition meet(const SetPartition& other) const;
 
   // True when every block of *this is contained in a block of `other` —
   // "*this is a refinement of other" per the paper's footnote 2.

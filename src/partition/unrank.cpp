@@ -108,12 +108,6 @@ std::uint64_t partition_index(const SetPartition& p) {
   return index;
 }
 
-SetPartition unrank_partition(std::size_t n, std::uint64_t index) {
-  std::vector<std::uint32_t> rgs;
-  unrank_rgs(n, index, rgs);
-  return SetPartition(std::move(rgs));
-}
-
 PartitionSlice::PartitionSlice(std::size_t n, std::uint64_t lo, std::uint64_t hi)
     : next_index_(lo), hi_(hi) {
   if (n < 1 || n > kMaxUnrankN) throw_n_out_of_range("PartitionSlice", n);

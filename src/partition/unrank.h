@@ -49,14 +49,10 @@ std::uint64_t checked_bell_u64(std::size_t n);
 std::uint64_t rgs_extension_count(std::size_t m, std::size_t a);
 
 // Writes the index-th RGS (RGS-lex order) for ground set size n into `rgs`
-// (resized to n). Requires 1 <= n <= kMaxUnrankN and index < B_n; throws
-// RangeViolationError otherwise. O(n^2) worst case, O(n) table probes.
+// (resized to n) — the exact inverse of partition_index. Requires
+// 1 <= n <= kMaxUnrankN and index < B_n; throws RangeViolationError
+// otherwise. O(n^2) worst case, O(n) table probes.
 void unrank_rgs(std::size_t n, std::uint64_t index, std::vector<std::uint32_t>& rgs);
-
-// The index-th partition of [n] in RGS-lexicographic order — the exact
-// inverse of partition_index: partition_index(unrank_partition(n, i)) == i
-// and unrank_partition(n, partition_index(p)) == p.
-SetPartition unrank_partition(std::size_t n, std::uint64_t index);
 
 // Streams the partitions with indices in [lo, hi) in order, without
 // enumerating the lo predecessors: one unrank for lo, then next_rgs per

@@ -68,7 +68,7 @@ struct ServeFaultPlan {
 ServeFaultPlan parse_serve_fault_spec(std::string_view spec);
 
 // BCCLB_SERVE_FAULTS through the parser; nullopt when unset. A set-but-
-// malformed spec throws (same discipline as env_u64_required_valid).
+// malformed spec throws, so a broken override fails loudly.
 std::optional<ServeFaultPlan> serve_fault_plan_from_env();
 
 // The compiled, counting form the server holds: each should_* call advances

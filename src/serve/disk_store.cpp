@@ -1,6 +1,5 @@
 #include "serve/disk_store.h"
 
-#include <dirent.h>
 #include <sys/stat.h>
 
 #include <cerrno>
@@ -110,21 +109,6 @@ void DiskStore::insert(std::uint64_t key, std::string_view artifact) {
 DiskStoreStats DiskStore::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-std::size_t DiskStore::entry_count() const {
-  DIR* d = ::opendir(dir_.c_str());
-  if (d == nullptr) return 0;
-  std::size_t count = 0;
-  while (const dirent* entry = ::readdir(d)) {
-    const std::string_view name = entry->d_name;
-    if (name.size() > kEntrySuffix.size() &&
-        name.substr(name.size() - kEntrySuffix.size()) == kEntrySuffix) {
-      ++count;
-    }
-  }
-  ::closedir(d);
-  return count;
 }
 
 bool DiskStore::corrupt_entry_for_test(std::uint64_t key) {

@@ -68,9 +68,6 @@ class DiskStore {
   // chaos harness to corrupt entries from outside.
   std::string entry_path(std::uint64_t key) const;
 
-  // Counts `.art` entries currently visible in the store directory.
-  std::size_t entry_count() const;
-
   // Test/chaos hook: XOR-flips one byte of the stored artifact body for
   // `key`, in place on disk, leaving the recorded digest stale — the exact
   // shape of bit rot the read path must catch. Returns false when absent.

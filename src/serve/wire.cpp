@@ -61,30 +61,6 @@ std::string frame(std::uint8_t type, std::uint16_t status, std::string_view payl
 
 }  // namespace
 
-const char* request_type_name(RequestType type) {
-  switch (type) {
-    case RequestType::kStats: return "stats";
-    case RequestType::kClassify: return "classify";
-    case RequestType::kIndistGraph: return "indist-graph";
-    case RequestType::kRank: return "rank";
-    case RequestType::kInfo: return "info";
-    case RequestType::kSimImplicit: return "sim-implicit";
-    case RequestType::kRankTile: return "rank-tile";
-    case RequestType::kBestStrategy: return "best-strategy";
-  }
-  return "?";
-}
-
-const char* cache_source_name(CacheSource source) {
-  switch (source) {
-    case CacheSource::kCold: return "cold";
-    case CacheSource::kHit: return "hit";
-    case CacheSource::kCoalesced: return "coalesced";
-    case CacheSource::kDisk: return "disk";
-  }
-  return "?";
-}
-
 const char* status_code_name(StatusCode code) {
   switch (code) {
     case StatusCode::kOk: return "ok";

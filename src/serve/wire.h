@@ -52,8 +52,6 @@ enum class RequestType : std::uint8_t {
                       // seeded search cell (search/engine.h)
 };
 
-const char* request_type_name(RequestType type);
-
 // Response status codes; every non-zero code maps 1:1 onto an errors.h leaf.
 enum class StatusCode : std::uint16_t {
   kOk = 0,
@@ -75,8 +73,6 @@ enum class CacheSource : std::uint8_t {
   kCoalesced = 2,  // shared a concurrent identical request's build
   kDisk = 3,       // warmed from the durable on-disk tier (digest re-verified)
 };
-
-const char* cache_source_name(CacheSource source);
 
 // A decoded request. Fields beyond `type` are meaningful per type:
 //   kClassify    — n, packed (successor word)

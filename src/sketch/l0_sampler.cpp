@@ -104,13 +104,6 @@ std::optional<std::uint64_t> L0Sampler::sample() const {
   return std::nullopt;
 }
 
-bool L0Sampler::appears_zero() const {
-  for (const Level& l : levels_) {
-    if (l.count != 0 || l.fingerprint != 0) return false;
-  }
-  return true;
-}
-
 std::vector<std::uint64_t> L0Sampler::serialize() const {
   // Per level: count (64), index_sum low/high (128), fingerprint (64).
   std::vector<std::uint64_t> words;

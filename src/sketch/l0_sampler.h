@@ -39,11 +39,6 @@ class L0Sampler {
   // nullopt means the sketch failed (or the vector is zero).
   std::optional<std::uint64_t> sample() const;
 
-  // True when every level is empty — the zero vector never false-negatives,
-  // but a nonzero vector can collide to zero only with negligible
-  // fingerprint probability.
-  bool appears_zero() const;
-
   const L0Params& params() const { return params_; }
   std::size_t num_levels() const { return levels_.size(); }
 

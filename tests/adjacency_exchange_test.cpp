@@ -83,17 +83,6 @@ TEST(K4Detection, DistributedMatchesLocal) {
   }
 }
 
-TEST(DiameterPredicate, KnownValues) {
-  EXPECT_TRUE(diameter_at_most_predicate(9)(path_graph(10)));
-  EXPECT_FALSE(diameter_at_most_predicate(8)(path_graph(10)));
-  // Disconnected graphs fail every finite bound.
-  EXPECT_FALSE(diameter_at_most_predicate(100)(Graph(4)));
-  Rng rng(7);
-  const Graph cyc = random_one_cycle(12, rng).to_graph();
-  EXPECT_TRUE(diameter_at_most_predicate(6)(cyc));
-  EXPECT_FALSE(diameter_at_most_predicate(5)(cyc));
-}
-
 TEST(AdjacencyExchange, RequiresKt1ButBootstrapLiftsIt) {
   Rng rng(8);
   const Graph g = random_gnp(10, 0.3, rng);

@@ -21,7 +21,6 @@ TEST(Message, SilentAndBits) {
   EXPECT_TRUE(s.is_silent());
   EXPECT_EQ(s.num_bits(), 0u);
   EXPECT_EQ(s.to_string(), "_");
-  EXPECT_EQ(s.as_char(), '_');
   EXPECT_THROW(s.value(), std::invalid_argument);
 
   const Message m = Message::bits(0b101, 3);
@@ -38,7 +37,6 @@ TEST(Message, Validation) {
   EXPECT_THROW(Message::bits(0, 0), std::invalid_argument);
   EXPECT_THROW(Message::bits(0, 65), std::invalid_argument);
   EXPECT_THROW(Message::one_bit(true).bit(1), std::invalid_argument);
-  EXPECT_THROW(Message::bits(3, 2).as_char(), std::invalid_argument);
 }
 
 TEST(Wiring, Kt1LayoutIsIdOrder) {
@@ -122,9 +120,9 @@ TEST(Simulator, TranscriptRecordsBroadcasts) {
   EXPECT_EQ(r.rounds_executed, 3u);
   EXPECT_EQ(r.transcript.num_rounds(), 3u);
   // kIdBits: vertex v broadcasts bit t of its ID (= v).
-  EXPECT_EQ(r.transcript.sent(5, 0).as_char(), '1');
-  EXPECT_EQ(r.transcript.sent(5, 2).as_char(), '1');
-  EXPECT_EQ(r.transcript.sent(4, 0).as_char(), '0');
+  EXPECT_EQ(r.transcript.sent(5, 0).to_string(), "1");
+  EXPECT_EQ(r.transcript.sent(5, 2).to_string(), "1");
+  EXPECT_EQ(r.transcript.sent(4, 0).to_string(), "0");
   EXPECT_EQ(r.transcript.sent_string(2), "010");
   EXPECT_EQ(r.transcript.edge_label(2, 5), "010101");
 }

@@ -6,6 +6,7 @@
 
 #include "bcc/algorithms/boruvka.h"
 #include "common/random.h"
+#include "fixtures.h"
 #include "graph/components.h"
 #include "graph/generators.h"
 

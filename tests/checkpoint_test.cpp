@@ -7,8 +7,10 @@
 // mutants.
 #include "bcc/checkpoint.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -267,6 +269,68 @@ TEST(MutationFuzz, RankCheckpointResumesOrThrowsCheckpointError) {
     try {
       const TiledRankReport report = tiled_partition_rank(cfg);
       EXPECT_EQ(report.certificate_digest, clean_report.certificate_digest) << mutant;
+    } catch (const CheckpointError&) {
+      ++refused;
+    }
+  }
+  EXPECT_GT(refused, kMutantsPerFormat / 2);
+}
+
+// The segment files carry no checksum trailer of their own: each one is
+// trusted only through the size and digest its tile record names. A rank dir
+// stopped after three tiles gets one segment flipped, truncated, extended or
+// deleted, or two segments swapped, before each resume.
+TEST(MutationFuzz, RankSegmentsResumeOrThrowCheckpointError) {
+  const std::string root = test_dir();
+  TiledRankConfig cfg;
+  cfg.n = 5;
+  cfg.field = RankField::kModp;
+  cfg.tile_rows = 8;  // B_5 = 52: seven tiles, each adding eight pivot rows
+  cfg.threads = 1;
+  cfg.dir = root + "/clean";
+  const TiledRankReport clean_report = tiled_partition_rank(cfg);
+  ASSERT_TRUE(clean_report.complete);
+
+  cfg.dir = root + "/stopped";
+  cfg.stop_after_tiles = 3;
+  tiled_partition_rank(cfg);
+  std::map<std::string, std::string> files;  // the stopped dir, by file name
+  std::vector<std::string> segments;
+  for (const auto& entry : std::filesystem::directory_iterator(cfg.dir)) {
+    const std::string name = entry.path().filename().string();
+    files[name] = raw_read(entry.path().string());
+    if (name.starts_with("seg-")) segments.push_back(name);
+  }
+  std::sort(segments.begin(), segments.end());
+  ASSERT_EQ(segments.size(), 3u);
+
+  cfg.dir = root + "/work";
+  cfg.stop_after_tiles = 0;
+  cfg.resume = true;
+  std::mt19937_64 rng(20190604);
+  int refused = 0;
+  for (int i = 0; i < kMutantsPerFormat; ++i) {
+    std::filesystem::remove_all(cfg.dir);
+    std::filesystem::create_directories(cfg.dir);
+    for (const auto& [name, bytes] : files) raw_write(cfg.dir + "/" + name, bytes);
+    const std::size_t victim = rng() % segments.size();
+    const std::string path = cfg.dir + "/" + segments[victim];
+    std::string bytes = files[segments[victim]];
+    switch (rng() % 5) {
+      case 0: bytes[rng() % bytes.size()] ^= static_cast<char>(1 + rng() % 255); break;
+      case 1: bytes.resize(rng() % bytes.size()); break;
+      case 2: bytes.append(1 + rng() % 16, static_cast<char>(rng())); break;
+      case 3: std::filesystem::remove(path); break;
+      default: {
+        const std::size_t other = (victim + 1 + rng() % (segments.size() - 1)) % segments.size();
+        bytes = files[segments[other]];
+        raw_write(cfg.dir + "/" + segments[other], files[segments[victim]]);
+      }
+    }
+    if (std::filesystem::exists(path)) raw_write(path, bytes);
+    try {
+      const TiledRankReport report = tiled_partition_rank(cfg);
+      EXPECT_EQ(report.certificate_digest, clean_report.certificate_digest) << "mutant " << i;
     } catch (const CheckpointError&) {
       ++refused;
     }

@@ -27,8 +27,7 @@ trap cleanup EXIT
 # search --verify's default golden path is relative; make sure it is absent.
 cd "$WORK" || exit 1
 # Environment defaults would change what the rows below expect.
-unset BCCLB_SIM_N BCCLB_SIM_SEED BCCLB_SIM_FAMILY BCCLB_MEM_BUDGET BCCLB_SERVE_FAULTS \
-  BCCLB_RANK_STOP_AFTER BCCLB_CAMPAIGN_STOP_AFTER
+unset BCCLB_MEM_BUDGET BCCLB_SERVE_FAULTS
 
 failures=0
 fail() {
@@ -241,6 +240,7 @@ hasnt 'transcript digest'
 bad sim --n 1000
 bad sim --implicit
 bad sim --implicit --n x
+bad sim --implicit --n 1e5
 bad sim --implicit --n 1000 --family bogus
 bad sim --implicit --n 1000 --seed -1
 bad sim --implicit --n 1000 --bandwidth 0

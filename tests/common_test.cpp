@@ -67,15 +67,6 @@ TEST(Rng, NextBelowRoughlyUniform) {
   }
 }
 
-TEST(Rng, NextInBounds) {
-  Rng rng(3);
-  for (int i = 0; i < 1000; ++i) {
-    const auto v = rng.next_in(-5, 5);
-    EXPECT_GE(v, -5);
-    EXPECT_LE(v, 5);
-  }
-}
-
 TEST(Rng, NextDoubleInUnitInterval) {
   Rng rng(5);
   for (int i = 0; i < 1000; ++i) {
@@ -129,13 +120,8 @@ TEST(HashMixers, Fmix64IsPinned) {
 TEST(BigUint, SmallArithmetic) {
   BigUint a(7), b(5);
   EXPECT_EQ((a + b).to_u64(), 12u);
-  EXPECT_EQ((a - b).to_u64(), 2u);
   EXPECT_EQ((a * b).to_u64(), 35u);
   EXPECT_EQ((a * 1000u).to_u64(), 7000u);
-}
-
-TEST(BigUint, SubtractUnderflowThrows) {
-  EXPECT_THROW(BigUint(3) - BigUint(5), std::invalid_argument);
 }
 
 TEST(BigUint, LargeMultiplication) {
@@ -147,9 +133,10 @@ TEST(BigUint, LargeMultiplication) {
   EXPECT_NEAR(sq.log2(), 128.0, 1e-9);
 }
 
-TEST(BigUint, DecimalRoundTrip) {
-  const std::string s = "123456789012345678901234567890";
-  EXPECT_EQ(BigUint::from_decimal(s).to_decimal(), s);
+TEST(BigUint, DecimalOfPowerOfTwo) {
+  BigUint x(1);
+  for (int i = 0; i < 100; ++i) x *= 2;
+  EXPECT_EQ(x.to_decimal(), "1267650600228229401496703205376");
 }
 
 TEST(BigUint, DecimalOfZeroAndSmall) {
@@ -159,7 +146,7 @@ TEST(BigUint, DecimalOfZeroAndSmall) {
 
 TEST(BigUint, CompareOrdering) {
   EXPECT_LT(BigUint(3), BigUint(5));
-  EXPECT_GT(BigUint::from_decimal("100000000000000000000"), BigUint(UINT64_MAX));
+  EXPECT_GT(BigUint(10000000000ULL) * BigUint(10000000000ULL), BigUint(UINT64_MAX));
   EXPECT_EQ(BigUint(7), BigUint(7));
 }
 
@@ -215,12 +202,6 @@ TEST(MathUtil, CeilLog2) {
   EXPECT_EQ(ceil_log2(5), 3u);
   EXPECT_EQ(ceil_log2(1ULL << 40), 40u);
   EXPECT_EQ(ceil_log2((1ULL << 40) + 1), 41u);
-}
-
-TEST(MathUtil, CheckedPow) {
-  EXPECT_EQ(checked_pow(3, 4), 81u);
-  EXPECT_EQ(checked_pow(10, 0), 1u);
-  EXPECT_THROW(checked_pow(2, 64), std::invalid_argument);
 }
 
 TEST(Check, RequireMessageNamesExpressionFileAndReason) {
@@ -447,24 +428,11 @@ class EnvVarGuard {
     }
   }
   void set(const char* value) { setenv(name_, value, 1); }
-  void unset() { unsetenv(name_); }
 
  private:
   const char* name_;
   std::optional<std::string> saved_;
 };
-
-TEST(EnvParse, RequiredValidThrowsOnMalformedOnly) {
-  EnvVarGuard guard("BCCLB_TEST_ENV_VAR");
-  guard.unset();
-  EXPECT_EQ(env_u64_required_valid("BCCLB_TEST_ENV_VAR"), std::nullopt);
-  guard.set("123");
-  EXPECT_EQ(env_u64_required_valid("BCCLB_TEST_ENV_VAR"), 123u);
-  guard.set("12x");
-  EXPECT_THROW(env_u64_required_valid("BCCLB_TEST_ENV_VAR"), BcclbError);
-  guard.set(" 12");
-  EXPECT_THROW(env_u64_required_valid("BCCLB_TEST_ENV_VAR"), BcclbError);
-}
 
 TEST(EnvParse, LenientLookupNeverThrows) {
   EnvVarGuard guard("BCCLB_TEST_ENV_VAR");
@@ -474,51 +442,19 @@ TEST(EnvParse, LenientLookupNeverThrows) {
   EXPECT_EQ(env_u64("BCCLB_TEST_ENV_VAR"), 31u);
 }
 
-// ---- cache-blocked bitset reductions (common/bitset_reduce.h) ---------------
+// ---- cache-blocked reduction (common/bitset_reduce.h) ---------------------
 
-TEST(BitsetReduce, PopcountMatchesSerialAtEveryWidth) {
-  Rng rng(99);
-  std::vector<std::uint64_t> words(3 * kReduceBlockWords + 17);
-  for (auto& w : words) w = rng.next_u64();
-  std::uint64_t expected = 0;
-  for (const std::uint64_t w : words) expected += static_cast<std::uint64_t>(std::popcount(w));
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    EXPECT_EQ(popcount_words(words, threads), expected) << threads << " threads";
-  }
-}
-
-TEST(BitsetReduce, AllBitsSetHandlesTails) {
-  for (const std::size_t num_bits : {1u, 63u, 64u, 65u, 128u, 1000u}) {
-    std::vector<std::uint64_t> words((num_bits + 63) / 64, ~0ULL);
-    for (const unsigned threads : {1u, 4u}) {
-      EXPECT_TRUE(all_bits_set(words, num_bits, threads)) << num_bits;
-    }
-    // Clearing the last relevant bit must flip the answer, even when the
-    // word's irrelevant tail bits stay set.
-    words[(num_bits - 1) / 64] &= ~(1ULL << ((num_bits - 1) % 64));
-    for (const unsigned threads : {1u, 4u}) {
-      EXPECT_FALSE(all_bits_set(words, num_bits, threads)) << num_bits;
-    }
-  }
-}
-
-TEST(BitsetReduce, MinMaxAndWidthSumsAreThreadInvariant) {
+TEST(BitsetReduce, MinMaxIsThreadInvariant) {
   Rng rng(7);
   std::vector<std::uint64_t> values(2 * kReduceBlockWords + 5);
-  std::vector<std::uint8_t> widths(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] = rng.next_u64();
-    widths[i] = static_cast<std::uint8_t>(rng.next_u64() % 65);
-  }
+  for (auto& v : values) v = rng.next_u64();
   const MinMaxU64 serial_mm = min_max_values(values, 1);
-  const std::uint64_t serial_sum = sum_widths(widths, 1);
   EXPECT_EQ(serial_mm.min, *std::min_element(values.begin(), values.end()));
   EXPECT_EQ(serial_mm.max, *std::max_element(values.begin(), values.end()));
   for (const unsigned threads : {2u, 8u}) {
     const MinMaxU64 mm = min_max_values(values, threads);
     EXPECT_EQ(mm.min, serial_mm.min);
     EXPECT_EQ(mm.max, serial_mm.max);
-    EXPECT_EQ(sum_widths(widths, threads), serial_sum);
   }
 }
 

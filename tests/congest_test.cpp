@@ -5,6 +5,7 @@
 #include "congest/bfs.h"
 #include "congest/model.h"
 #include "congest/triangle.h"
+#include "fixtures.h"
 #include "graph/generators.h"
 
 namespace bcclb {

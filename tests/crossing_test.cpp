@@ -16,6 +16,7 @@
 #include "crossing/indistinguishability_graph.h"
 #include "crossing/matching.h"
 #include "crossing/ported_instance.h"
+#include "fixtures.h"
 #include "graph/components.h"
 #include "graph/generators.h"
 
@@ -326,20 +327,16 @@ TEST(IndistGraph, Lemma37ProfileMatchesFormula) {
 
 TEST(Matching, SimpleCases) {
   // Perfect matching on K_{3,3}.
-  std::vector<std::vector<std::uint32_t>> k33(3, {0, 1, 2});
-  EXPECT_EQ(max_bipartite_matching(k33, 3), 3u);
+  EXPECT_EQ(max_bipartite_matching(csr_from_rows({{0, 1, 2}, {0, 1, 2}, {0, 1, 2}}), 3), 3u);
   // Star: left {0,1,2} all pointing at right 0.
-  std::vector<std::vector<std::uint32_t>> star(3, {0});
-  EXPECT_EQ(max_bipartite_matching(star, 1), 1u);
-  // Empty (spelled as CSR so the overload is unambiguous).
-  CsrAdjacency empty;
-  empty.offsets = {0, 0, 0};
-  EXPECT_EQ(max_bipartite_matching(empty, 4), 0u);
+  EXPECT_EQ(max_bipartite_matching(csr_from_rows({{0}, {0}, {0}}), 1), 1u);
+  // Two empty rows.
+  EXPECT_EQ(max_bipartite_matching(csr_from_rows({{}, {}}), 4), 0u);
 }
 
 TEST(Matching, KMatchingCloning) {
   // Two left nodes, four right nodes, complete: 2-matching saturates.
-  std::vector<std::vector<std::uint32_t>> adj(2, {0, 1, 2, 3});
+  const CsrAdjacency adj = csr_from_rows({{0, 1, 2, 3}, {0, 1, 2, 3}});
   EXPECT_TRUE(has_saturating_k_matching(adj, 4, 1));
   EXPECT_TRUE(has_saturating_k_matching(adj, 4, 2));
   EXPECT_FALSE(has_saturating_k_matching(adj, 4, 3));
@@ -347,8 +344,7 @@ TEST(Matching, KMatchingCloning) {
 }
 
 TEST(Matching, IsolatedLeftVerticesAreSkipped) {
-  std::vector<std::vector<std::uint32_t>> adj{{0}, {}, {1}};
-  EXPECT_TRUE(has_saturating_k_matching(adj, 2, 1));
+  EXPECT_TRUE(has_saturating_k_matching(csr_from_rows({{0}, {}, {1}}), 2, 1));
 }
 
 TEST(Matching, MatchedPairsAreValid) {
@@ -359,7 +355,8 @@ TEST(Matching, MatchedPairsAreValid) {
       if (rng.next_bernoulli(0.2)) nbrs.push_back(r);
     }
   }
-  HopcroftKarp hk(adj, 15);
+  const CsrAdjacency csr = csr_from_rows(adj);
+  HopcroftKarp hk(csr, 15);
   const std::size_t m = hk.max_matching();
   std::set<std::uint32_t> used;
   std::size_t matched = 0;

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/random.h"
+#include "fixtures.h"
 #include "graph/components.h"
 #include "graph/cycle_structure.h"
 #include "graph/generators.h"
@@ -41,7 +42,13 @@ TEST(CycleStructure, SingleCycleValidation) {
 TEST(CycleStructure, FromGraphRoundTrip) {
   Rng rng(3);
   for (int i = 0; i < 20; ++i) {
-    const auto cs = random_cycle_cover(15, 3, 3, rng);
+    // Three cycles of lengths 3, 5 and 7 over a random permutation of [15].
+    std::vector<VertexId> perm(15);
+    std::iota(perm.begin(), perm.end(), 0);
+    rng.shuffle(perm);
+    const auto at = [&](std::size_t k) { return perm.begin() + static_cast<std::ptrdiff_t>(k); };
+    const auto cs = CycleStructure::from_cycles(
+        15, {{at(0), at(3)}, {at(3), at(8)}, {at(8), perm.end()}});
     EXPECT_EQ(CycleStructure::from_graph(cs.to_graph()), cs);
   }
 }

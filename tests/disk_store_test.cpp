@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 
 #include "bcc/checkpoint.h"
@@ -36,6 +37,14 @@ struct TempDir {
     const std::string cleanup = "rm -rf '" + path + "'";
     [[maybe_unused]] const int rc = std::system(cleanup.c_str());
   }
+  // Counts the `.art` entries visible in the directory.
+  std::size_t entry_count() const {
+    std::size_t count = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(path)) {
+      count += entry.path().extension() == ".art";
+    }
+    return count;
+  }
 };
 
 // ---- disk store ------------------------------------------------------------
@@ -57,7 +66,7 @@ TEST(DiskStore, RoundTripsBytesExactlyAcrossInstances) {
       store.insert(key, artifacts[key]);
     }
     EXPECT_EQ(store.stats().writes, std::size(artifacts));
-    EXPECT_EQ(store.entry_count(), std::size(artifacts));
+    EXPECT_EQ(dir.entry_count(), std::size(artifacts));
   }
   // A second instance over the same directory — the daemon-restart shape.
   DiskStore reopened(dir.path);
@@ -92,7 +101,7 @@ TEST(DiskStore, CrashMidWriteLeavesNoVisibleEntry) {
     std::fclose(f);
   }
   // The torn temp file is invisible: not an entry, not a hit, not quarantined.
-  EXPECT_EQ(store.entry_count(), 0u);
+  EXPECT_EQ(dir.entry_count(), 0u);
   EXPECT_FALSE(store.lookup(7).has_value());
   EXPECT_EQ(store.stats().quarantined, 0u);
   // A completed write for the same key lands next to the orphan and wins.
@@ -114,7 +123,7 @@ TEST(DiskStore, BitRotIsQuarantinedAndRecomputable) {
   DiskStoreStats stats = store.stats();
   EXPECT_EQ(stats.quarantined, 1u);
   EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(store.entry_count(), 0u);  // moved aside to .quarantined
+  EXPECT_EQ(dir.entry_count(), 0u);  // moved aside to .quarantined
 
   // Transparent recompute path: a fresh insert restores service.
   store.insert(9, artifact);

@@ -4,6 +4,7 @@
 // and the transient-retry policy.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -83,7 +84,11 @@ TEST(FaultPlan, RandomCrashVictimsAreDistinct) {
   FaultCounts counts;
   counts.crashes = 5;
   const FaultPlan plan = FaultPlan::random(7, 5, 4, counts);
-  EXPECT_EQ(plan.crash_victims().size(), 5u);  // deduplicated and sorted
+  std::set<VertexId> victims;
+  for (const FaultEvent& e : plan.events()) {
+    if (e.kind == FaultKind::kCrashStop) victims.insert(e.vertex);
+  }
+  EXPECT_EQ(victims.size(), 5u);
 }
 
 TEST(FaultInjection, CrashStopSilencesFromItsRoundOn) {
@@ -265,7 +270,6 @@ TEST(BatchReport, OnePoisonedJobDoesNotCostTheSweep) {
   const BatchReport report = BatchRunner(4).run_reported(jobs);
   EXPECT_EQ(report.num_ok, 5u);
   EXPECT_EQ(report.num_failed, 1u);
-  EXPECT_EQ(report.first_failure(), 2u);
   EXPECT_FALSE(report.all_ok());
   EXPECT_EQ(report.jobs[2].status, JobStatus::kFailed);
   EXPECT_EQ(report.jobs[2].error_kind, "FaultInjectionError");

@@ -4,6 +4,7 @@
 #include <algorithm>
 
 #include "common/random.h"
+#include "fixtures.h"
 #include "graph/arboricity.h"
 #include "graph/components.h"
 #include "graph/generators.h"
@@ -110,16 +111,6 @@ TEST(Components, LabelsAreComponentMinima) {
   EXPECT_EQ(labels[1], 1u);
 }
 
-TEST(Components, SetsPartitionVertices) {
-  Rng rng(5);
-  const Graph g = random_gnp(30, 0.05, rng);
-  const auto sets = component_sets(g);
-  std::size_t total = 0;
-  for (const auto& s : sets) total += s.size();
-  EXPECT_EQ(total, 30u);
-  EXPECT_EQ(sets.size(), num_components(g));
-}
-
 TEST(Components, AgreesWithUnionFind) {
   Rng rng(17);
   for (int trial = 0; trial < 20; ++trial) {
@@ -151,13 +142,6 @@ TEST(Generators, RandomTwoCycleShape) {
     EXPECT_GE(cs.smallest_cycle_length(), 3u);
     EXPECT_EQ(num_components(cs.to_graph()), 2u);
   }
-}
-
-TEST(Generators, RandomCycleCoverRespectsParameters) {
-  Rng rng(3);
-  const auto cs = random_cycle_cover(20, 4, 4, rng);
-  EXPECT_EQ(cs.num_cycles(), 4u);
-  EXPECT_GE(cs.smallest_cycle_length(), 4u);
 }
 
 TEST(Generators, ForestHasExpectedComponentsAndEdges) {

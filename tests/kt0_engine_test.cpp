@@ -151,17 +151,5 @@ TEST(SampledError, CountsAreConsistent) {
   EXPECT_NEAR(rep.total_error, 0.5 * (rep.yes_error + rep.no_error), 1e-12);
 }
 
-TEST(AlgorithmActiveEdges, SilentMeansAllActive) {
-  const auto factory =
-      two_cycle_adversary_factory(AdversaryKind::kSilent, 2, always_yes_rule());
-  const auto active = algorithm_active_edges(2, factory, "__", "__");
-  Rng rng(3);
-  const auto cs = random_one_cycle(9, rng);
-  EXPECT_EQ(active(cs).size(), 9u);
-  // Wrong label: nothing active.
-  const auto none = algorithm_active_edges(2, factory, "00", "00");
-  EXPECT_TRUE(none(cs).empty());
-}
-
 }  // namespace
 }  // namespace bcclb

@@ -12,6 +12,7 @@
 #include "crossing/csr_adjacency.h"
 #include "crossing/indistinguishability_graph.h"
 #include "crossing/matching.h"
+#include "fixtures.h"
 #include "graph/cycle_structure.h"
 
 namespace bcclb {
@@ -71,15 +72,14 @@ TEST(PackedStructure, CanonicalPackedIsCanonicalizationInWordForm) {
 
 // ---- CSR adjacency ----------------------------------------------------------
 
-TEST(CsrAdjacency, NestedRoundTrip) {
-  const std::vector<std::vector<std::uint32_t>> nested{{3, 1}, {}, {2}, {0, 0, 7}};
-  const CsrAdjacency csr = CsrAdjacency::from_nested(nested);
+TEST(CsrAdjacency, RowAccessors) {
+  const CsrAdjacency csr = csr_from_rows({{3, 1}, {}, {2}, {0, 0, 7}});
   EXPECT_EQ(csr.num_rows(), 4u);
   EXPECT_EQ(csr.num_entries(), 6u);
   EXPECT_EQ(csr.row_size(1), 0u);
   EXPECT_EQ(csr.row(3).size(), 3u);
   EXPECT_EQ(csr.row(0)[0], 3u);
-  EXPECT_EQ(csr.to_nested(), nested);
+  EXPECT_EQ(csr.row(3)[2], 7u);
 }
 
 // ---- Kernel vs structure-level reference builder ----------------------------
@@ -110,7 +110,7 @@ std::vector<std::vector<std::uint32_t>> reference_adjacency(std::size_t n) {
 TEST(PackedKernel, MatchesReferenceBuilderAllActive) {
   for (std::size_t n = 6; n <= 8; ++n) {
     const auto g = build_indistinguishability_graph(n, all_edges_active());
-    EXPECT_EQ(g.adj, CsrAdjacency::from_nested(reference_adjacency(n))) << "n=" << n;
+    EXPECT_EQ(g.adj, csr_from_rows(reference_adjacency(n))) << "n=" << n;
   }
 }
 
@@ -142,38 +142,31 @@ TEST(PackedKernel, RestrictedActivityTableMatchesClosure) {
     table.push_row(row);
   }
   const auto via_fn = build_indistinguishability_graph(n, ActiveEdgeFn(restricted));
-  const auto via_table = build_indistinguishability_graph(n, table);
+  const auto via_table =
+      build_indistinguishability_graph(one_cycles, all_two_cycle_structures(n), table);
   EXPECT_EQ(via_fn.adj, via_table.adj);
   // And fewer active edges can only shrink the graph.
   const auto all_active = build_indistinguishability_graph(n, all_edges_active());
   EXPECT_LT(via_fn.num_edges(), all_active.num_edges());
 }
 
-// ---- CSR matching vs legacy nested adjacency --------------------------------
-
-TEST(CsrMatching, AgreesWithNestedOverloadsOnIndistGraph) {
-  const auto g = build_indistinguishability_graph(7, all_edges_active());
-  const auto nested = g.adj.to_nested();
-  EXPECT_EQ(max_bipartite_matching(g.adj, g.two_cycles.size()),
-            max_bipartite_matching(nested, g.two_cycles.size()));
-  EXPECT_EQ(max_saturating_k(g.adj, g.two_cycles.size(), 8),
-            max_saturating_k(nested, g.two_cycles.size(), 8));
-}
+// ---- CSR matching ------------------------------------------------------------
 
 TEST(CsrMatching, ImplicitCloningMatchesExplicitClones) {
   // HopcroftKarp(adj, right, k) must equal the explicit construction that
   // copies each positive-degree row k times.
   const std::vector<std::vector<std::uint32_t>> nested{
       {0, 1, 2, 3}, {}, {1, 2}, {0, 3, 4, 5}, {2}};
-  const CsrAdjacency adj = CsrAdjacency::from_nested(nested);
+  const CsrAdjacency adj = csr_from_rows(nested);
   for (unsigned k = 1; k <= 3; ++k) {
     std::vector<std::vector<std::uint32_t>> cloned;
     for (const auto& row : nested) {
       if (row.empty()) continue;
       for (unsigned c = 0; c < k; ++c) cloned.push_back(row);
     }
+    const CsrAdjacency cloned_adj = csr_from_rows(cloned);
     HopcroftKarp implicit(adj, 6, k);
-    HopcroftKarp explicit_hk(cloned, 6);
+    HopcroftKarp explicit_hk(cloned_adj, 6);
     EXPECT_EQ(implicit.max_matching(), explicit_hk.max_matching()) << "k=" << k;
   }
 }

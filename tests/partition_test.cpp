@@ -74,37 +74,25 @@ TEST(SetPartition, PaperRefinementExample) {
   EXPECT_FALSE(coarse.refines(fine));
 }
 
-TEST(SetPartition, MeetIsCoarsestCommonRefinement) {
-  const auto pa = from_blocks(4, {{0, 1, 2}, {3}});
-  const auto pb = from_blocks(4, {{0, 1}, {2, 3}});
-  const auto m = pa.meet(pb);
-  EXPECT_EQ(m.to_string(), "(1,2)(3)(4)");
-  EXPECT_TRUE(m.refines(pa));
-  EXPECT_TRUE(m.refines(pb));
-}
-
 class LatticeLaws : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(LatticeLaws, JoinAndMeetSatisfyLatticeAxioms) {
+TEST_P(LatticeLaws, JoinIsTheLeastUpperBound) {
   const std::size_t n = GetParam();
   const auto parts = all_partitions(n);
   for (const auto& p : parts) {
     EXPECT_EQ(p.join(p), p);
-    EXPECT_EQ(p.meet(p), p);
     EXPECT_TRUE(p.refines(p));
     for (const auto& q : parts) {
       const auto j = p.join(q);
-      const auto m = p.meet(q);
       EXPECT_EQ(j, q.join(p));
-      EXPECT_EQ(m, q.meet(p));
-      // Join is an upper bound; meet a lower bound.
       EXPECT_TRUE(p.refines(j));
       EXPECT_TRUE(q.refines(j));
-      EXPECT_TRUE(m.refines(p));
-      EXPECT_TRUE(m.refines(q));
-      // Absorption.
-      EXPECT_EQ(p.join(m), p);
-      EXPECT_EQ(p.meet(j), p);
+      // Every common coarsening of p and q coarsens the join.
+      for (const auto& r : parts) {
+        if (p.refines(r) && q.refines(r)) {
+          EXPECT_TRUE(j.refines(r));
+        }
+      }
     }
   }
 }
@@ -198,28 +186,6 @@ TEST(Sampling, UniformPartitionIsUniform) {
   }
 }
 
-TEST(Sampling, WithBlocksRespectsBlockCount) {
-  Rng rng(5);
-  for (std::size_t k = 1; k <= 6; ++k) {
-    for (int i = 0; i < 20; ++i) {
-      EXPECT_EQ(uniform_partition_with_blocks(6, k, rng).num_blocks(), k);
-    }
-  }
-}
-
-TEST(Sampling, WithBlocksUniformOverStirlingClass) {
-  // S(5, 2) = 15 partitions; check rough uniformity.
-  Rng rng(77);
-  std::map<std::vector<std::uint32_t>, int> freq;
-  const int trials = 30000;
-  for (int i = 0; i < trials; ++i) freq[uniform_partition_with_blocks(5, 2, rng).rgs()]++;
-  EXPECT_EQ(freq.size(), 15u);
-  for (const auto& [rgs, count] : freq) {
-    EXPECT_GT(count, trials / 15 - 400);
-    EXPECT_LT(count, trials / 15 + 400);
-  }
-}
-
 TEST(PerfectMatchings, CountAndShape) {
   for (std::size_t n : {2u, 4u, 6u, 8u}) {
     const auto all = all_perfect_matchings(n);
@@ -249,15 +215,6 @@ TEST(PerfectMatchings, RandomIsUniform) {
     EXPECT_GT(count, trials / 15 - 300);
     EXPECT_LT(count, trials / 15 + 300);
   }
-}
-
-TEST(PerfectMatchings, PairsAreSortedBlocks) {
-  const auto m = SetPartition::from_blocks(6, {{5, 0}, {1, 3}, {2, 4}});
-  ASSERT_TRUE(m.is_perfect_matching());
-  const auto pairs = matching_pairs(m);
-  ASSERT_EQ(pairs.size(), 3u);
-  EXPECT_EQ(pairs[0], (std::pair<std::uint32_t, std::uint32_t>{0, 5}));
-  EXPECT_EQ(pairs[1], (std::pair<std::uint32_t, std::uint32_t>{1, 3}));
 }
 
 TEST(PerfectMatchings, NonMatchingRejected) {

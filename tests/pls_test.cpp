@@ -7,6 +7,7 @@
 #include "bcc/algorithms/min_id_flood.h"
 #include "common/random.h"
 #include "crossing/ported_instance.h"
+#include "fixtures.h"
 #include "graph/generators.h"
 #include "pls/connectivity_pls.h"
 #include "pls/randomized_pls.h"

@@ -12,6 +12,7 @@
 #include "bcc/round_engine.h"
 #include "common/errors.h"
 #include "common/random.h"
+#include "fixtures.h"
 #include "graph/generators.h"
 
 namespace bcclb {

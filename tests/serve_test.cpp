@@ -204,7 +204,7 @@ TEST(Wire, RequestRoundTripsEveryType) {
     ASSERT_EQ(frame.size(), kFrameHeaderBytes + header.payload_len);
     const Request decoded =
         decode_request(header.type, std::string_view(frame).substr(kFrameHeaderBytes));
-    EXPECT_EQ(decoded, request) << request_type_name(request.type);
+    EXPECT_EQ(decoded, request) << "type " << static_cast<int>(request.type);
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "bcc/algorithms/sketch_connectivity.h"
 #include "common/random.h"
+#include "fixtures.h"
 #include "graph/components.h"
 #include "graph/generators.h"
 #include "sketch/graph_sketch.h"
@@ -26,11 +27,9 @@ TEST(L0Sampler, RecoversSingleton) {
 
 TEST(L0Sampler, ZeroVectorSamplesNothing) {
   L0Sampler s({100, 1, 0});
-  EXPECT_TRUE(s.appears_zero());
   EXPECT_FALSE(s.sample().has_value());
   s.update(5, 1);
   s.update(5, -1);
-  EXPECT_TRUE(s.appears_zero());
   EXPECT_FALSE(s.sample().has_value());
 }
 

@@ -15,6 +15,12 @@
 namespace bcclb {
 namespace {
 
+SetPartition unrank_partition(std::size_t n, std::uint64_t index) {
+  std::vector<std::uint32_t> rgs;
+  unrank_rgs(n, index, rgs);
+  return SetPartition(std::move(rgs));
+}
+
 TEST(Unrank, MatchesEnumerationOrderExhaustively) {
   for (std::size_t n = 1; n <= 8; ++n) {
     const std::vector<SetPartition> all = all_partitions(n);

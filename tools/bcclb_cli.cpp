@@ -396,9 +396,8 @@ int cmd_rank_tiled(int argc, char** argv) {
       config.mem_budget_bytes = *budget;
     }
   }
-  // Test hooks mirroring the campaign runner's: strict-parsed, ignored when
+  // Test hook mirroring the campaign runner's: strict-parsed, ignored when
   // malformed. The delay widens the SIGKILL window for rank_smoke.sh.
-  if (const auto v = env_u64("BCCLB_RANK_STOP_AFTER")) config.stop_after_tiles = *v;
   if (const auto v = env_u64("BCCLB_RANK_TILE_DELAY_MS")) {
     config.inter_tile_delay_ns = *v * 1'000'000ULL;
   }
@@ -582,14 +581,9 @@ int run_checkpointed_campaign(const Campaign& campaign, const char* dir, bool re
   config.dir = dir;
   config.resume = resume;
   config.interrupt = &g_interrupted;
-  // Ops/test hooks, strict-parsed like every other env override (malformed
-  // values are ignored, never trusted): a clean stop after N batches, and a
-  // between-batch throttle the kill-and-resume smoke tests use to widen the
-  // window a real SIGKILL can land in.
-  const auto stop_after = env_u64("BCCLB_CAMPAIGN_STOP_AFTER");
-  if (stop_after && *stop_after <= std::numeric_limits<unsigned>::max()) {
-    config.stop_after_batches = static_cast<unsigned>(*stop_after);
-  }
+  // Test hook, strict-parsed like every other env override (malformed values
+  // are ignored, never trusted): a between-batch throttle the kill-and-resume
+  // smoke tests use to widen the window a real SIGKILL can land in.
   if (const auto v = env_u64("BCCLB_CAMPAIGN_BATCH_DELAY_MS")) {
     config.inter_batch_delay_ns = *v * 1'000'000ULL;
   }
@@ -932,7 +926,7 @@ int cmd_probe(int argc, char** argv) {
 
 struct SimArgs {
   ImplicitSpec spec;
-  bool have_n = false;  // --n or BCCLB_SIM_N
+  bool have_n = false;
   unsigned bandwidth = 0;  // 0 = smallest width that carries every ID
   unsigned threads = 1;
   bool implicit = false;  // required: the only sim path there is
@@ -951,31 +945,14 @@ std::vector<Flag> sim_flags(SimArgs& a) {
 }
 
 // Million-node simulation over an implicitly defined instance: the
-// InstanceView scale path. Flags override the BCCLB_SIM_* environment
-// defaults; all of them go through the strict parser, so a malformed
-// override is a loud failure, never a silently different experiment.
+// InstanceView scale path. Every flag goes through the strict parser, so a
+// malformed value is a loud failure, never a silently different experiment.
 int cmd_sim(int argc, char** argv) {
   SimArgs args;
   ImplicitSpec& spec = args.spec;
   spec.seed = 2019;
-
-  // Environment defaults (strict: set-but-malformed throws BcclbError).
-  if (const auto env_n = env_u64_required_valid("BCCLB_SIM_N")) {
-    spec.n = *env_n;
-    args.have_n = true;
-  }
-  if (const auto env_seed = env_u64_required_valid("BCCLB_SIM_SEED")) spec.seed = *env_seed;
-  if (const auto env_family = env_string("BCCLB_SIM_FAMILY")) {
-    const auto parsed = parse_implicit_family(*env_family);
-    if (!parsed) {
-      throw UsageError("BCCLB_SIM_FAMILY=\"" + std::string(*env_family) +
-                       "\" is not an implicit family");
-    }
-    spec.family = *parsed;
-  }
-
   parse_flags("sim", sim_flags(args), argc, argv);
-  if (!args.have_n) throw UsageError("sim: need --n (or BCCLB_SIM_N)");
+  if (!args.have_n) throw UsageError("sim: need --n");
 
   const auto report =
       implicit_classify_experiment(spec, args.bandwidth, args.threads, args.digest);
@@ -1031,8 +1008,7 @@ int usage(std::FILE* out) {
       "campaign, search, and rank --n honour BCCLB_THREADS and BCCLB_MEM_BUDGET\n"
       "  (bytes, K/M/G suffix);\n"
       "serve honours BCCLB_MEM_BUDGET for the artifact cache and BCCLB_SERVE_FAULTS\n"
-      "  for deterministic chaos injection (see DESIGN.md §8);\n"
-      "sim honours BCCLB_SIM_N, BCCLB_SIM_SEED, BCCLB_SIM_FAMILY (flags override)\n";
+      "  for deterministic chaos injection (see DESIGN.md §8)\n";
   std::fputs(text.c_str(), out);
   return out == stdout ? 0 : 2;
 }
