@@ -24,7 +24,7 @@ double log2_bell(std::size_t n);
 std::uint64_t bell_number_u64(std::size_t n);
 
 // Stirling numbers of the second kind S(n, k): partitions of [n] into
-// exactly k blocks. Used by the uniform partition sampler.
+// exactly k blocks. Used by predicted_join_rank.
 const BigUint& stirling2(std::size_t n, std::size_t k);
 
 // Rank of the join matrix M_n over GF(p), p prime (p = 2 is GF(2)):
